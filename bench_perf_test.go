@@ -114,6 +114,22 @@ func BenchmarkPerfIndexedStudy100kParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkPerfAnalyzeReport100k measures the analyze report rendered
+// from the 100k log's study view once core.RunView has warmed it: the
+// figures plus the two analyses the report computes itself, rolling MTBF
+// and the one-vs-rest recovery significance table.
+func BenchmarkPerfAnalyzeReport100k(b *testing.B) {
+	ix := index.New(perfLog(b))
+	study, err := core.RunView(ix, core.Options{Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		textreport.AnalyzeView(io.Discard, study, ix)
+	}
+}
+
 // BenchmarkPerfIndexBuild100k measures a cold index: one View built and
 // every facet the analysis battery touches forced exactly once. This is
 // the fixed cost the memoization amortizes across phases.

@@ -11,6 +11,7 @@ package tsubame_test
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -599,33 +600,6 @@ func BenchmarkParallelSimTrials(b *testing.B) {
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "pool_width")
 }
 
-// BenchmarkRollingMTBFSequential scans fine-grained rolling windows
-// (7-day step over the full Tsubame-2 span) on one worker: the baseline
-// of BenchmarkParallelRollingMTBF.
-func BenchmarkRollingMTBFSequential(b *testing.B) {
-	t2, _ := benchLogs(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.RollingMTBFParallel(t2, 90, 7, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(1, "pool_width")
-}
-
-// BenchmarkParallelRollingMTBF fans the independent window scans out
-// across every core.
-func BenchmarkParallelRollingMTBF(b *testing.B) {
-	t2, _ := benchLogs(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.RollingMTBFParallel(t2, 90, 7, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "pool_width")
-}
-
 func maxOf(rows []core.CategoryDurations, cat failures.Category) float64 {
 	for _, r := range rows {
 		if r.Category == cat {
@@ -673,21 +647,27 @@ func BenchmarkExtSurvival(b *testing.B) {
 	b.ReportMetric(100*s3.SurvivalAtOneYear, "t3_year_survival_pct")
 }
 
-// BenchmarkExtRollingMTBF measures the rolling reliability series.
+// BenchmarkExtRollingMTBF measures the rolling reliability series at the
+// report's 45-day step and at a fine 7-day step. Each window is two
+// binary searches over the chronological log, so the cost follows the
+// window count, not the record count.
 func BenchmarkExtRollingMTBF(b *testing.B) {
 	t2, _ := benchLogs(b)
-	b.ResetTimer()
-	var trend float64
-	for i := 0; i < b.N; i++ {
-		series, err := core.RollingMTBF(t2, 90, 45)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if trend, err = core.MTBFTrend(series); err != nil {
-			b.Fatal(err)
-		}
+	for _, step := range []int{45, 7} {
+		b.Run(fmt.Sprintf("step=%dd", step), func(b *testing.B) {
+			var trend float64
+			for i := 0; i < b.N; i++ {
+				series, err := core.RollingMTBF(t2, 90, step)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if trend, err = core.MTBFTrend(series); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(trend, "late_over_early_mtbf")
+		})
 	}
-	b.ReportMetric(trend, "late_over_early_mtbf")
 }
 
 // BenchmarkAblationColocation measures how Table III's involvement

@@ -17,8 +17,9 @@ import (
 	"log"
 	"os"
 
-	tsubame "repro"
 	"repro/internal/cli"
+	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/parallel"
 	"repro/internal/textreport"
 )
@@ -57,7 +58,10 @@ func main() {
 	if err != nil {
 		cli.FatalLoad(err)
 	}
-	study, err := tsubame.AnalyzeParallel(failureLog, *para)
+	// One index serves the RQ battery and the report's render-time
+	// analyses.
+	ix := index.New(failureLog)
+	study, err := core.RunView(ix, core.Options{Parallelism: *para})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +70,7 @@ func main() {
 		m.SetRecordCount("records", failureLog.Len())
 	}
 
-	textreport.Analyze(os.Stdout, study, failureLog)
+	textreport.AnalyzeView(os.Stdout, study, ix)
 	if err := run.Finish(); err != nil {
 		log.Fatal(err)
 	}

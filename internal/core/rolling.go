@@ -1,12 +1,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/failures"
-	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -24,19 +23,13 @@ type WindowMTBF struct {
 // single whole-log MTBF hides. Windows with fewer than two failures carry
 // the window length as a lower-bound MTBF and Failures reflects the true
 // count.
+//
+// The log is chronological, so each half-open window [cursor,
+// cursor+window) is the record range between two binary searches: the
+// cost is O(w log n) for w windows, with no record copied.
 func RollingMTBF(log *failures.Log, windowDays, stepDays int) ([]WindowMTBF, error) {
-	return rollingMTBF(log, windowDays, stepDays, 1)
-}
-
-// RollingMTBFParallel is RollingMTBF with the independent window scans
-// fanned out across a bounded worker pool; the series is identical under
-// any width.
-func RollingMTBFParallel(log *failures.Log, windowDays, stepDays, parallelism int) ([]WindowMTBF, error) {
-	return rollingMTBF(log, windowDays, stepDays, parallelism)
-}
-
-func rollingMTBF(log *failures.Log, windowDays, stepDays, parallelism int) ([]WindowMTBF, error) {
-	if log.Len() < 2 {
+	n := log.Len()
+	if n < 2 {
 		return nil, ErrTooFewRecords
 	}
 	if windowDays < 1 || stepDays < 1 {
@@ -45,36 +38,26 @@ func rollingMTBF(log *failures.Log, windowDays, stepDays, parallelism int) ([]Wi
 	start, end, _ := log.Window()
 	window := time.Duration(windowDays) * 24 * time.Hour
 	step := time.Duration(stepDays) * 24 * time.Hour
+	firstAtOrAfter := func(t time.Time) int {
+		return sort.Search(n, func(i int) bool { return !log.At(i).Time.Before(t) })
+	}
 
-	var cursors []time.Time
+	var series []WindowMTBF
 	for cursor := start; cursor.Before(end); cursor = cursor.Add(step) {
-		cursors = append(cursors, cursor)
-	}
-	if len(cursors) == 0 {
-		return nil, ErrTooFewRecords
-	}
-
-	// Each window scans the records independently and writes only its own
-	// series slot, so the scans fan out with no synchronization beyond
-	// the pool itself.
-	records := log.Records()
-	return parallel.Map(context.Background(), parallelism, cursors, func(_ context.Context, _ int, cursor time.Time) (WindowMTBF, error) {
-		winEnd := cursor.Add(window)
-		var inWindow []failures.Failure
-		for _, r := range records {
-			if !r.Time.Before(cursor) && r.Time.Before(winEnd) {
-				inWindow = append(inWindow, r)
-			}
-		}
-		pt := WindowMTBF{Start: cursor, Failures: len(inWindow)}
-		if len(inWindow) >= 2 {
-			gap := inWindow[len(inWindow)-1].Time.Sub(inWindow[0].Time).Hours()
-			pt.MTBFHours = gap / float64(len(inWindow)-1)
+		lo, hi := firstAtOrAfter(cursor), firstAtOrAfter(cursor.Add(window))
+		pt := WindowMTBF{Start: cursor, Failures: hi - lo}
+		if pt.Failures >= 2 {
+			gap := log.At(hi - 1).Time.Sub(log.At(lo).Time).Hours()
+			pt.MTBFHours = gap / float64(pt.Failures-1)
 		} else {
 			pt.MTBFHours = window.Hours()
 		}
-		return pt, nil
-	})
+		series = append(series, pt)
+	}
+	if len(series) == 0 {
+		return nil, ErrTooFewRecords
+	}
+	return series, nil
 }
 
 // MTBFTrend summarizes a rolling series: the ratio of the mean MTBF in

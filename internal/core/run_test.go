@@ -98,18 +98,6 @@ func TestShardedVariantsMatchSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, width := range []int{0, 3, 8} {
-		seqRoll, err := RollingMTBF(t2, 90, 45)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parRoll, err := RollingMTBFParallel(t2, 90, 45, width)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seqRoll, parRoll) {
-			t.Errorf("width %d: rolling MTBF series diverged", width)
-		}
-
 		seqSpatial, err := SpatialAnalysis(t2)
 		if err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/failures"
@@ -141,43 +142,62 @@ type TTRSignificance struct {
 }
 
 // TTRSignificanceByCategory runs a one-vs-rest Mann-Whitney test for each
-// category with at least minCount records, sorted by ascending p-value.
+// category with at least minCount records (clamped to 2), sorted by
+// ascending p-value. It indexes log afresh; callers holding a view use
+// TTRSignificanceView.
 func TTRSignificanceByCategory(log *failures.Log, minCount int) ([]TTRSignificance, error) {
-	return ttrSignificanceByCategory(index.New(log), minCount)
+	return TTRSignificanceView(index.New(log), minCount)
 }
 
-func ttrSignificanceByCategory(ix *index.View, minCount int) ([]TTRSignificance, error) {
+// TTRSignificanceView is TTRSignificanceByCategory over an already-built
+// index. "Category ∪ rest" is always the whole log, so every test ranks
+// against the one sorted recovery arena: its tie term is computed once,
+// and a category's rank sum comes from binary-searching each run of its
+// own sorted arena in the global one. The cost is O(n) for the tie term
+// and the sums plus O(d log n) per category with d distinct values, on
+// top of the sorted arenas, which the RQ battery has usually built
+// already.
+func TTRSignificanceView(ix *index.View, minCount int) ([]TTRSignificance, error) {
 	if ix.Len() == 0 {
 		return nil, ErrEmptyLog
 	}
 	if minCount < 2 {
 		minCount = 2
 	}
-	var out []TTRSignificance
+	all := ix.SortedRecoveryHours()
+	n := len(all)
+	tieSum := stats.TieSum(all)
 	counts := ix.CategoryCounts()
-	for cat, n := range counts {
-		if n < minCount {
+	cats := make([]failures.Category, 0, len(counts))
+	for cat := range counts {
+		cats = append(cats, cat)
+	}
+	slices.Sort(cats)
+	// The rest of the log sums its categories' sums in category order, so
+	// RestMeanHours is deterministic and, all terms being non-negative,
+	// free of the cancellation a whole-minus-category difference suffers
+	// when one category dominates.
+	sums := make([]float64, len(cats))
+	for i, cat := range cats {
+		sums[i] = stats.Sum(ix.CategoryRecovery(cat))
+	}
+	rest := make([]float64, 0, len(cats))
+	var out []TTRSignificance
+	for i, cat := range cats {
+		nCat := counts[cat]
+		if nCat < minCount || nCat == n {
 			continue
 		}
-		hours := ix.CategoryRecovery(cat)
-		var rest []float64
-		for other := range counts {
-			if other != cat {
-				rest = append(rest, ix.CategoryRecovery(other)...)
-			}
-		}
-		if len(rest) == 0 {
-			continue
-		}
-		mw, err := stats.MannWhitney(hours, rest)
+		mw, err := stats.MannWhitneyFromRankSum(rankSum(all, ix.SortedCategoryRecovery(cat)), nCat, n-nCat, tieSum)
 		if err != nil {
 			return nil, err
 		}
+		rest = append(append(rest[:0], sums[:i]...), sums[i+1:]...)
 		out = append(out, TTRSignificance{
 			Category:      cat,
-			N:             len(hours),
-			MeanHours:     stats.Mean(hours),
-			RestMeanHours: stats.Mean(rest),
+			N:             nCat,
+			MeanHours:     stats.Mean(ix.CategoryRecovery(cat)),
+			RestMeanHours: stats.Sum(rest) / float64(n-nCat),
 			P:             mw.P,
 		})
 	}
@@ -191,4 +211,26 @@ func ttrSignificanceByCategory(ix *index.View, minCount int) ([]TTRSignificance,
 		return out[i].Category < out[j].Category
 	})
 	return out, nil
+}
+
+// rankSum returns the sum of the mid-ranks, within the ascending arena
+// all, of the values of sub, an ascending sub-multiset of all. Each run
+// of equal values in sub occupies all[lo:hi] and takes the mid-rank
+// (lo+1+hi)/2 that stats.Ranks assigns; runs ascend, so each search
+// starts where the previous run ended.
+func rankSum(all, sub []float64) float64 {
+	var sum float64
+	lo := 0
+	for i := 0; i < len(sub); {
+		v := sub[i]
+		j := i + 1
+		for j < len(sub) && sub[j] == v {
+			j++
+		}
+		lo += sort.SearchFloat64s(all[lo:], v)
+		hi := lo + sort.Search(len(all)-lo, func(k int) bool { return all[lo+k] > v })
+		sum += float64(j-i) * (float64(lo+1+hi) / 2)
+		lo, i = hi, j
+	}
+	return sum
 }

@@ -48,8 +48,15 @@ func FitLogNormal(xs []float64) (LogNormal, error) {
 }
 
 // FitWeibull returns the maximum-likelihood Weibull fit, solving the shape
-// equation g(k) = sum(x^k ln x)/sum(x^k) - 1/k - mean(ln x) = 0 by Newton
-// iteration with bisection fallback, then setting the scale from the shape.
+// equation g(k) = sum(x^k ln x)/sum(x^k) - 1/k - mean(ln x) = 0 by
+// bracketing and bisection, then setting the scale from the shape.
+//
+// g is strictly increasing, so each bisection step needs only the sign of
+// g(mid). A Newton solve of the same equation answers that sign wherever
+// mid is certified to lie clear of the root (see weibullShapeSigns); the
+// few steps near the root evaluate g itself, so the bisection takes the
+// same path, and returns the same bits, as one that evaluates g every
+// step.
 func FitWeibull(xs []float64) (Weibull, error) {
 	if len(xs) < 2 {
 		return Weibull{}, fmt.Errorf("dist: weibull fit needs at least 2 observations, got %d", len(xs))
@@ -74,20 +81,21 @@ func FitWeibull(xs []float64) (Weibull, error) {
 		}
 		return sxkl/sxk - 1/k - meanLog
 	}
+	below := weibullShapeSigns(logs, meanLog, g)
 
-	// g is increasing in k; bracket the root then bisect (robust against
-	// the occasional flat region that defeats pure Newton).
+	// Bracket the root, then bisect. The path this search takes fixes the
+	// fitted bits, so below must answer exactly as g(k) < 0 would.
 	lo, hi := 1e-3, 1.0
-	for g(hi) < 0 && hi < 1e3 {
+	for below(hi) && hi < 1e3 {
 		lo = hi
 		hi *= 2
 	}
-	if g(hi) < 0 {
+	if below(hi) {
 		return Weibull{}, fmt.Errorf("dist: weibull shape did not bracket within (0, %g]", hi)
 	}
 	for i := 0; i < 200 && hi-lo > 1e-10*(1+hi); i++ {
 		mid := (lo + hi) / 2
-		if g(mid) < 0 {
+		if below(mid) {
 			lo = mid
 		} else {
 			hi = mid

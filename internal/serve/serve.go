@@ -347,7 +347,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			return http.StatusUnprocessableEntity, errorBody("analyze: %v", err)
 		}
 		var buf bytes.Buffer
-		textreport.Analyze(&buf, study, ep.View().Log())
+		textreport.AnalyzeView(&buf, study, ep.View())
 		return http.StatusOK, buf.Bytes()
 	})
 }

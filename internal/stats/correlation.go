@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"cmp"
+	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Pearson returns the Pearson product-moment correlation coefficient of the
@@ -33,7 +35,8 @@ func Pearson(xs, ys []float64) (float64, error) {
 // Spearman returns Spearman's rank correlation coefficient of the paired
 // samples, with mid-ranks assigned to ties. The paper uses rank correlation
 // to test whether monthly failure density predicts monthly recovery time
-// (Figures 11 and 12): it does not.
+// (Figures 11 and 12): it does not. A NaN in either sample has no rank,
+// so it returns ErrNaN.
 func Spearman(xs, ys []float64) (float64, error) {
 	if len(xs) != len(ys) {
 		return 0, ErrMismatch
@@ -41,22 +44,27 @@ func Spearman(xs, ys []float64) (float64, error) {
 	if len(xs) < 2 {
 		return 0, ErrEmpty
 	}
+	if slices.ContainsFunc(xs, math.IsNaN) || slices.ContainsFunc(ys, math.IsNaN) {
+		return 0, fmt.Errorf("stats: spearman sample has a NaN: %w", ErrNaN)
+	}
 	return Pearson(Ranks(xs), Ranks(ys))
 }
 
 // Ranks returns the 1-based mid-ranks of xs: tied observations all receive
-// the average of the ranks they span.
+// the average of the ranks they span. NaNs rank first, each alone, since a
+// NaN equals nothing; callers that need meaningful ranks reject NaN first,
+// as Spearman does.
 func Ranks(xs []float64) []float64 {
 	n := len(xs)
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
+	slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(xs[a], xs[b]) })
 
 	ranks := make([]float64, n)
 	for i := 0; i < n; {
-		j := i
+		j := i + 1
 		for j < n && xs[idx[j]] == xs[idx[i]] {
 			j++
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 )
 
 // The conformance harness (internal/conform) feeds KS and chi-square with
@@ -190,5 +191,90 @@ func TestChiSquareSurvivalNaN(t *testing.T) {
 	}
 	if s := ChiSquareSurvival(2, math.NaN()); !math.IsNaN(s) {
 		t.Errorf("ChiSquareSurvival(2, NaN) = %v, want NaN", s)
+	}
+}
+
+// returnsWithin fails the test instead of hanging it when f loops: the
+// rank tie loops once never advanced past a NaN.
+func returnsWithin(t *testing.T, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("call did not return within 10s")
+	}
+}
+
+func TestMannWhitneyEdgeCases(t *testing.T) {
+	nan := math.NaN()
+	tests := []struct {
+		name    string
+		xs, ys  []float64
+		wantErr error
+		wantP   float64 // compared when wantErr is nil
+	}{
+		{"empty left", nil, []float64{1}, ErrEmpty, 0},
+		{"empty right", []float64{1}, nil, ErrEmpty, 0},
+		{"nan left", []float64{1, nan}, []float64{2, 3}, ErrNaN, 0},
+		{"nan right", []float64{1, 2}, []float64{3, nan}, ErrNaN, 0},
+		{"all nan", []float64{nan}, []float64{nan, nan}, ErrNaN, 0},
+		{"all ties", []float64{4, 4}, []float64{4, 4, 4}, nil, 1},
+		{"single each, equal", []float64{2}, []float64{2}, nil, 1},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var res MannWhitneyResult
+			var err error
+			returnsWithin(t, func() { res, err = MannWhitney(tt.xs, tt.ys) })
+			if !errors.Is(err, tt.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tt.wantErr)
+			}
+			if tt.wantErr == nil && res.P != tt.wantP {
+				t.Errorf("P = %v, want %v", res.P, tt.wantP)
+			}
+		})
+	}
+}
+
+func TestSpearmanEdgeCases(t *testing.T) {
+	nan := math.NaN()
+	tests := []struct {
+		name    string
+		xs, ys  []float64
+		wantErr error
+	}{
+		{"mismatch", []float64{1, 2}, []float64{1}, ErrMismatch},
+		{"one pair", []float64{1}, []float64{1}, ErrEmpty},
+		{"nan left", []float64{1, nan, 3}, []float64{1, 2, 3}, ErrNaN},
+		{"nan right", []float64{1, 2, 3}, []float64{3, 2, nan}, ErrNaN},
+		{"all nan", []float64{nan, nan}, []float64{nan, nan}, ErrNaN},
+		{"ties", []float64{1, 1, 2}, []float64{3, 3, 4}, nil},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var err error
+			returnsWithin(t, func() { _, err = Spearman(tt.xs, tt.ys) })
+			if !errors.Is(err, tt.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tt.wantErr)
+			}
+		})
+	}
+}
+
+// TestRanksNaN pins that Ranks returns on NaN input: NaNs rank first,
+// each alone, and the finite ties after them still share a mid-rank.
+func TestRanksNaN(t *testing.T) {
+	var got []float64
+	returnsWithin(t, func() { got = Ranks([]float64{math.NaN(), 1, 1, math.NaN(), 0}) })
+	if got[1] != 4.5 || got[2] != 4.5 || got[4] != 3 {
+		t.Fatalf("Ranks = %v, want finite ranks 3, 4.5, 4.5", got)
+	}
+	if nanRanks := got[0] + got[3]; nanRanks != 3 || got[0] == got[3] {
+		t.Errorf("NaN ranks %v and %v, want 1 and 2", got[0], got[3])
 	}
 }

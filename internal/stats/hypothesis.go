@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -18,46 +21,98 @@ type MannWhitneyResult struct {
 // MannWhitney performs the two-sided Mann-Whitney U test that the two
 // samples come from the same distribution, using the normal approximation
 // with tie correction (appropriate at the sample sizes of the per-category
-// TTR comparisons). It returns ErrEmpty when either sample is empty.
+// TTR comparisons). It returns ErrEmpty when either sample is empty and
+// ErrNaN when either contains a NaN.
+//
+// One sort of the pooled sample, each value tagged with its side, yields
+// both the first sample's mid-rank sum and the tie term; the O((n1+n2)
+// log(n1+n2)) sort is the whole cost.
 func MannWhitney(xs, ys []float64) (MannWhitneyResult, error) {
 	if len(xs) == 0 || len(ys) == 0 {
 		return MannWhitneyResult{}, ErrEmpty
 	}
-	n1, n2 := float64(len(xs)), float64(len(ys))
-	combined := make([]float64, 0, len(xs)+len(ys))
-	combined = append(combined, xs...)
-	combined = append(combined, ys...)
-	ranks := Ranks(combined)
-
-	var r1 float64
-	for i := range xs {
-		r1 += ranks[i]
+	type obs struct {
+		v     float64
+		first bool
 	}
-	u1 := r1 - n1*(n1+1)/2
+	pooled := make([]obs, 0, len(xs)+len(ys))
+	for _, x := range xs {
+		pooled = append(pooled, obs{x, true})
+	}
+	for _, y := range ys {
+		pooled = append(pooled, obs{y, false})
+	}
+	slices.SortFunc(pooled, func(a, b obs) int { return cmp.Compare(a.v, b.v) })
+	if math.IsNaN(pooled[0].v) { // cmp.Compare sorts NaNs first
+		return MannWhitneyResult{}, fmt.Errorf("stats: mann-whitney sample has a NaN: %w", ErrNaN)
+	}
 
-	// Tie correction for the variance.
-	sorted := append([]float64(nil), combined...)
-	sort.Float64s(sorted)
-	var tieSum float64
-	n := len(sorted)
+	var r1, tieSum float64
+	n := len(pooled)
 	for i := 0; i < n; {
-		j := i
-		for j < n && sorted[j] == sorted[i] {
+		j := i + 1
+		for j < n && pooled[j].v == pooled[i].v {
 			j++
 		}
-		t := float64(j - i)
-		tieSum += t*t*t - t
+		// Observations i..j-1 are tied over ranks i+1..j: each takes the
+		// mid-rank, exactly as Ranks assigns it.
+		mid := float64(i+1+j) / 2
+		for k := i; k < j; k++ {
+			if pooled[k].first {
+				r1 += mid
+			}
+		}
+		tieSum += tieWeight(j - i)
 		i = j
 	}
-	nn := n1 + n2
-	variance := n1 * n2 / 12 * ((nn + 1) - tieSum/(nn*(nn-1)))
+	return MannWhitneyFromRankSum(r1, len(xs), len(ys), tieSum)
+}
+
+// TieSum returns the Mann-Whitney tie term Σ(t³ − t) over the runs of
+// equal values in an ascending-sorted sample. It depends only on the
+// pooled sample, so a caller testing many splits of one sample computes
+// it once.
+func TieSum(sorted []float64) float64 {
+	var sum float64
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j] == sorted[i] {
+			j++
+		}
+		sum += tieWeight(j - i)
+		i = j
+	}
+	return sum
+}
+
+// tieWeight is one tie run's contribution t³ − t to the tie term.
+func tieWeight(t int) float64 {
+	ft := float64(t)
+	return ft*ft*ft - ft
+}
+
+// MannWhitneyFromRankSum finishes a Mann-Whitney test from its
+// sufficient statistics: r1, the first sample's mid-rank sum within the
+// pooled sample; the sample sizes n1 and n2; and the pooled sample's tie
+// term (TieSum). Callers that already hold sorted arenas derive r1 by
+// search instead of re-ranking. Rank sums are sums of half-integers and
+// the tie term a sum of integers, so both are exact below 2^52 and the
+// result does not depend on how they were accumulated.
+func MannWhitneyFromRankSum(r1 float64, n1, n2 int, tieSum float64) (MannWhitneyResult, error) {
+	if n1 < 1 || n2 < 1 {
+		return MannWhitneyResult{}, ErrEmpty
+	}
+	fn1, fn2 := float64(n1), float64(n2)
+	u1 := r1 - fn1*(fn1+1)/2
+	nn := fn1 + fn2
+	variance := fn1 * fn2 / 12 * ((nn + 1) - tieSum/(nn*(nn-1)))
 	res := MannWhitneyResult{U: u1}
 	if variance <= 0 {
 		// All observations tied: no evidence of difference.
 		res.P = 1
 		return res, nil
 	}
-	mean := n1 * n2 / 2
+	mean := fn1 * fn2 / 2
 	// Continuity correction toward the mean.
 	diff := u1 - mean
 	switch {

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -69,6 +70,87 @@ func TestMannWhitneyAllTied(t *testing.T) {
 func TestMannWhitneyEmpty(t *testing.T) {
 	if _, err := MannWhitney(nil, []float64{1}); err != ErrEmpty {
 		t.Errorf("error = %v, want ErrEmpty", err)
+	}
+}
+
+// legacyMannWhitney is the two-sort implementation MannWhitney replaced:
+// Ranks over the pooled sample, then a second sort for the tie term.
+func legacyMannWhitney(xs, ys []float64) MannWhitneyResult {
+	n1, n2 := float64(len(xs)), float64(len(ys))
+	combined := append(append([]float64(nil), xs...), ys...)
+	ranks := Ranks(combined)
+	var r1 float64
+	for i := range xs {
+		r1 += ranks[i]
+	}
+	u1 := r1 - n1*(n1+1)/2
+	sorted := append([]float64(nil), combined...)
+	sort.Float64s(sorted)
+	var tieSum float64
+	n := len(sorted)
+	for i := 0; i < n; {
+		j := i
+		for j < n && sorted[j] == sorted[i] {
+			j++
+		}
+		t := float64(j - i)
+		tieSum += t*t*t - t
+		i = j
+	}
+	nn := n1 + n2
+	variance := n1 * n2 / 12 * ((nn + 1) - tieSum/(nn*(nn-1)))
+	res := MannWhitneyResult{U: u1}
+	if variance <= 0 {
+		res.P = 1
+		return res
+	}
+	diff := u1 - n1*n2/2
+	switch {
+	case diff > 0.5:
+		diff -= 0.5
+	case diff < -0.5:
+		diff += 0.5
+	default:
+		diff = 0
+	}
+	res.Z = diff / math.Sqrt(variance)
+	res.P = 2 * normalSurvival(math.Abs(res.Z))
+	if res.P > 1 {
+		res.P = 1
+	}
+	return res
+}
+
+// TestMannWhitneyMatchesLegacy pins the one-sort test, and the rank-sum
+// entry point it shares with the one-vs-rest table, bit-for-bit to the
+// two-sort implementation across tie-free, tie-heavy and all-tied
+// samples of unequal sizes.
+func TestMannWhitneyMatchesLegacy(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 500; trial++ {
+		levels := []int{0, 1, 3, 50}[trial%4] // 0: continuous values
+		draw := func(n int, shift float64) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				if levels == 0 {
+					xs[i] = rng.ExpFloat64() + shift
+				} else {
+					xs[i] = float64(rng.Intn(levels)) + math.Round(shift)
+				}
+			}
+			return xs
+		}
+		xs, ys := draw(1+rng.Intn(60), 0), draw(1+rng.Intn(200), rng.Float64())
+		want := legacyMannWhitney(xs, ys)
+		got, err := MannWhitney(xs, ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.U) != math.Float64bits(want.U) ||
+			math.Float64bits(got.Z) != math.Float64bits(want.Z) ||
+			math.Float64bits(got.P) != math.Float64bits(want.P) {
+			t.Fatalf("trial %d: got %+v, want %+v", trial, got, want)
+		}
 	}
 }
 

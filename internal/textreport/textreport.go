@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/failures"
+	"repro/internal/index"
 	"repro/internal/report"
 )
 
@@ -32,8 +33,16 @@ var analyzeFigures = []func(*core.Study) string{
 // window, every single-system figure, MTBF/MTTR/PEP summary, and the
 // best-effort extension analyses (spatial concentration, card survival,
 // rolling reliability, per-category TTR significance) when the log
-// carries what they need.
+// carries what they need. It indexes log afresh; callers holding the
+// view the study was run on use AnalyzeView.
 func Analyze(w io.Writer, study *core.Study, log *failures.Log) {
+	AnalyzeView(w, study, index.New(log))
+}
+
+// AnalyzeView is Analyze over an already-built index, normally the one
+// core.RunView produced study from, so the significance table reads the
+// sorted recovery arenas the RQ battery already built.
+func AnalyzeView(w io.Writer, study *core.Study, ix *index.View) {
 	fmt.Fprintf(w, "Analyzed %d failures on %v over %.0f days.\n\n", study.Records, study.System, study.SpanDays)
 	for _, fig := range analyzeFigures {
 		if s := fig(study); s != "" {
@@ -53,11 +62,11 @@ func Analyze(w io.Writer, study *core.Study, log *failures.Log) {
 		fmt.Fprintf(w, "GPU cards: %d of %d saw a failure; one-year card survival %.1f%%.\n",
 			study.Survival.Failed, study.Survival.Cards, 100*study.Survival.SurvivalAtOneYear)
 	}
-	if series, err := core.RollingMTBF(log, 90, 45); err == nil {
+	if series, err := core.RollingMTBF(ix.Log(), 90, 45); err == nil {
 		fmt.Fprintln(w)
 		fmt.Fprint(w, report.RollingChart("Rolling 90-day MTBF.", series))
 	}
-	if rows, err := core.TTRSignificanceByCategory(log, 10); err == nil {
+	if rows, err := core.TTRSignificanceView(ix, 10); err == nil {
 		fmt.Fprintln(w)
 		fmt.Fprint(w, report.SignificanceTable(study.System.String(), rows))
 	}

@@ -167,13 +167,6 @@ func RollingMTBF(log *Log, windowDays, stepDays int) ([]WindowMTBF, error) {
 	return core.RollingMTBF(log, windowDays, stepDays)
 }
 
-// RollingMTBFParallel is RollingMTBF with the independent window scans
-// fanned out across at most parallelism workers; the series is identical
-// for any parallelism.
-func RollingMTBFParallel(log *Log, windowDays, stepDays, parallelism int) ([]WindowMTBF, error) {
-	return core.RollingMTBFParallel(log, windowDays, stepDays, parallelism)
-}
-
 // MTBFTrend summarizes a rolling series as late-third over early-third
 // mean MTBF (>1 means the system grew more reliable over its life).
 func MTBFTrend(series []WindowMTBF) (float64, error) { return core.MTBFTrend(series) }
