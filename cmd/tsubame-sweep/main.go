@@ -89,7 +89,9 @@ func main() {
 	}
 	if m := obsRun.Manifest(); m != nil {
 		m.AddSeedRange(*seed, *seeds)
-		m.PoolWidth = parallel.Width(*para, grid.Size())
+		// Workers pull whole scenarios: cells that differ only in
+		// checkpoint interval share one simulation.
+		m.PoolWidth = parallel.Width(*para, grid.Size()/len(grid.CkptIntervals))
 		m.SetRecordCount("cells", grid.Size())
 	}
 

@@ -180,6 +180,42 @@ func TestBadFlagsExitTwo(t *testing.T) {
 	}
 }
 
+// TestNonFiniteFlagsExitTwo: NaN and infinite float flags are usage
+// errors caught before any simulation runs. An infinite -horizon used to
+// spin forever, deaf to SIGTERM, and a NaN grid value failed only after
+// simulating; a repeated grid value used to repeat report lines.
+func TestNonFiniteFlagsExitTwo(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "sweep")
+	sweepArgs := func(args ...string) []string {
+		return append([]string{"-systems", "t3", "-horizon", "100", "-seeds", "1", "-out", out}, args...)
+	}
+	cases := []struct {
+		name, tool string
+		args       []string
+	}{
+		{"sim-horizon-inf", "tsubame-sim", []string{"-horizon", "+Inf"}},
+		{"remediate-horizon-inf", "tsubame-remediate", []string{"-horizon", "+Inf"}},
+		{"sweep-horizon-inf", "tsubame-sweep", sweepArgs("-horizon", "+Inf")},
+		{"sweep-accuracy-nan", "tsubame-sweep", sweepArgs("-accuracy", "NaN")},
+		{"sweep-ckpt-intervals-nan", "tsubame-sweep", sweepArgs("-ckpt-intervals", "NaN")},
+		{"sweep-ckpt-intervals-inf", "tsubame-sweep", sweepArgs("-ckpt-intervals", "+Inf")},
+		{"sweep-ckpt-cost-inf", "tsubame-sweep", sweepArgs("-ckpt-cost", "+Inf")},
+		{"sweep-ckpt-intervals-duplicate", "tsubame-sweep", sweepArgs("-ckpt-intervals", "24,24")},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			stdout, stderr, code := run(t, c.tool, c.args...)
+			if code != 2 {
+				t.Fatalf("%s %s exited %d, want 2\nstdout: %s\nstderr: %s",
+					c.tool, strings.Join(c.args, " "), code, stdout, stderr)
+			}
+		})
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a rejected sweep created its output directory: %v", err)
+	}
+}
+
 // TestConformCLI runs a real conformance evaluation through the binary
 // at the canonical 32-seed configuration (the tolerance bands are tuned
 // for it): the shipped calibration must pass and produce a JSON report.

@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/cli"
 	"repro/internal/failures"
@@ -40,8 +42,31 @@ type Params struct {
 	MinCount int
 }
 
+// ErrNonFinite marks a parameter or grid value that is NaN or infinite.
+// No sweep knob gives infinity a meaning: an infinite horizon never
+// ends, and a NaN poisons every derived column.
+var ErrNonFinite = errors.New("value must be finite")
+
+// finite rejects a NaN or infinite value, naming it.
+func finite(name string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("sweep: %s %v: %w", name, v, ErrNonFinite)
+	}
+	return nil
+}
+
 // Validate checks the shared parameters.
 func (p Params) Validate() error {
+	if err := cli.FirstError(
+		finite("horizon", p.HorizonHours),
+		finite("lead time", p.LeadTimeHours),
+		finite("alarm window", p.AlarmWindowHours),
+		finite("checkpoint cost", p.CheckpointCostHours),
+		finite("restart cost", p.RestartCostHours),
+		finite("batch window", p.BatchWindowHours),
+	); err != nil {
+		return err
+	}
 	if !(p.HorizonHours > 0) {
 		return fmt.Errorf("sweep: horizon must be positive, got %v", p.HorizonHours)
 	}
@@ -152,16 +177,60 @@ func profileFor(sys failures.System) *synth.Profile {
 
 // Run evaluates one cell. Results are deterministic in the cell alone:
 // the same cell produces the same Result bytes on every run, which is
-// what makes resumed sweeps merge byte-identically. Cells with a
-// remediation policy run the closed-loop engine; "none" cells run the
-// plain repair simulator.
+// what makes resumed sweeps merge byte-identically.
 func (e *Evaluator) Run(c Cell) (Result, error) {
+	res, err := e.RunGroup([]Cell{c})
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0], nil
+}
+
+// scenario is the cell without its position and checkpoint interval:
+// everything the simulators see. The interval only enters the
+// Young/Daly columns that finish derives after the simulation, so cells
+// sharing a scenario share one simulation.
+func (c Cell) scenario() Cell {
+	c.Index, c.ID, c.CkptInterval = 0, "", 0
+	return c
+}
+
+// RunGroup evaluates cells that share one scenario (they differ at most
+// in CkptInterval) with a single simulation, returning one Result per
+// cell in input order, each equal to what Run returns for that cell.
+func (e *Evaluator) RunGroup(cells []Cell) ([]Result, error) {
+	if len(cells) == 0 {
+		return nil, nil
+	}
+	for _, c := range cells[1:] {
+		if c.scenario() != cells[0].scenario() {
+			return nil, fmt.Errorf("sweep: cells %s and %s differ in more than the checkpoint interval", cells[0].ID, c.ID)
+		}
+	}
+	out, err := e.simulate(cells[0])
+	if err != nil {
+		return nil, err
+	}
+	results := make([]Result, len(cells))
+	for i, c := range cells {
+		if results[i], err = e.finish(c, out); err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
+}
+
+// simulate runs the cell's scenario and returns the simulator outcome
+// as a Result with only the raw columns set. Cells with a remediation
+// policy run the closed-loop engine; "none" cells run the plain repair
+// simulator.
+func (e *Evaluator) simulate(c Cell) (Result, error) {
 	m, ok := e.systems[c.System]
 	if !ok {
 		return Result{}, fmt.Errorf("sweep: cell %s references unfitted system %q", c.ID, c.System)
 	}
 	if c.Policy != "" && c.Policy != "none" {
-		return e.runPolicy(c, m)
+		return e.simulatePolicy(c, m)
 	}
 	cfg := sim.Config{
 		Nodes:        m.machine.Nodes,
@@ -189,41 +258,19 @@ func (e *Evaluator) Run(c Cell) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("sweep: cell %s: %w", c.ID, err)
 	}
-	mtbf := e.params.HorizonHours
-	if res.Failures > 0 {
-		mtbf = e.params.HorizonHours / float64(res.Failures)
-	}
-	model := sched.CheckpointModel{
-		CheckpointCostHours: e.params.CheckpointCostHours,
-		RestartCostHours:    e.params.RestartCostHours,
-		MTBFHours:           mtbf,
-	}
-	tau := c.CkptInterval
-	if tau == 0 {
-		tau = model.OptimalInterval()
-	}
-	eff, err := model.Efficiency(tau)
-	if err != nil {
-		return Result{}, fmt.Errorf("sweep: cell %s: %w", c.ID, err)
-	}
 	return Result{
-		Cell:              c,
-		Availability:      res.Availability,
-		NodeHoursLost:     res.NodeHoursLost,
-		Failures:          res.Failures,
-		MeanRepairWait:    res.MeanRepairWait,
-		MTBFHours:         mtbf,
-		EffectiveInterval: tau,
-		CkptEfficiency:    eff,
-		GoodputFraction:   res.Availability * eff,
+		Availability:   res.Availability,
+		NodeHoursLost:  res.NodeHoursLost,
+		Failures:       res.Failures,
+		MeanRepairWait: res.MeanRepairWait,
 	}, nil
 }
 
-// runPolicy evaluates a remediation-policy cell with the closed-loop
-// engine on the same fitted processes, spares, and accuracy knobs as
-// the plain cells, so policy and no-policy rows are comparable within a
-// grid.
-func (e *Evaluator) runPolicy(c Cell, m systemModel) (Result, error) {
+// simulatePolicy runs a remediation-policy scenario with the
+// closed-loop engine on the same fitted processes, spares, and accuracy
+// knobs as the plain cells, so policy and no-policy rows are comparable
+// within a grid.
+func (e *Evaluator) simulatePolicy(c Cell, m systemModel) (Result, error) {
 	policy, err := remediate.PolicyByName(c.Policy, e.params.batchWindow())
 	if err != nil {
 		return Result{}, fmt.Errorf("sweep: cell %s: %w", c.ID, err)
@@ -257,9 +304,24 @@ func (e *Evaluator) runPolicy(c Cell, m systemModel) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("sweep: cell %s: %w", c.ID, err)
 	}
+	return Result{
+		Availability:   res.Availability,
+		NodeHoursLost:  res.NodeHoursLost,
+		Failures:       res.Failures,
+		MeanRepairWait: res.MeanRemediationHours,
+		Remediations:   res.Remediations,
+		Averted:        res.Averted,
+		SparesConsumed: res.SparesConsumed,
+	}, nil
+}
+
+// finish completes a simulated outcome for one cell: the measured MTBF,
+// the cell's checkpoint interval (the Young/Daly optimum when 0), its
+// checkpoint efficiency, and the goodput fraction.
+func (e *Evaluator) finish(c Cell, out Result) (Result, error) {
 	mtbf := e.params.HorizonHours
-	if res.Failures > 0 {
-		mtbf = e.params.HorizonHours / float64(res.Failures)
+	if out.Failures > 0 {
+		mtbf = e.params.HorizonHours / float64(out.Failures)
 	}
 	model := sched.CheckpointModel{
 		CheckpointCostHours: e.params.CheckpointCostHours,
@@ -274,18 +336,10 @@ func (e *Evaluator) runPolicy(c Cell, m systemModel) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("sweep: cell %s: %w", c.ID, err)
 	}
-	return Result{
-		Cell:              c,
-		Availability:      res.Availability,
-		NodeHoursLost:     res.NodeHoursLost,
-		Failures:          res.Failures,
-		MeanRepairWait:    res.MeanRemediationHours,
-		MTBFHours:         mtbf,
-		EffectiveInterval: tau,
-		CkptEfficiency:    eff,
-		GoodputFraction:   res.Availability * eff,
-		Remediations:      res.Remediations,
-		Averted:           res.Averted,
-		SparesConsumed:    res.SparesConsumed,
-	}, nil
+	out.Cell = c
+	out.MTBFHours = mtbf
+	out.EffectiveInterval = tau
+	out.CkptEfficiency = eff
+	out.GoodputFraction = out.Availability * eff
+	return out, nil
 }

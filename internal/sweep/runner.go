@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -89,9 +90,15 @@ func Run(ctx context.Context, rc RunnerConfig) (string, error) {
 	return Merge(rc.OutDir, cells)
 }
 
-// runCells fans todo out over shard-owning workers.
+// runCells groups todo by scenario, so each scenario is simulated once
+// however many checkpoint intervals it has, and fans the groups out
+// over shard-owning workers that pull the next group from a shared
+// counter. Groups keep their first-appearance order, which in the
+// system-major grid dispatches the costliest systems first; dynamic
+// pulling then leaves workers at most one group apart.
 func runCells(ctx context.Context, rc RunnerConfig, ev *Evaluator, manifestPath string, todo []Cell) error {
-	workers := parallel.Width(rc.Parallelism, len(todo))
+	groups := groupByScenario(todo)
+	workers := parallel.Width(rc.Parallelism, len(groups))
 	manifest, err := openAppendSane(manifestPath)
 	if err != nil {
 		return err
@@ -99,53 +106,80 @@ func runCells(ctx context.Context, rc RunnerConfig, ev *Evaluator, manifestPath 
 	defer manifest.Close()
 	var manifestMu sync.Mutex
 
-	ranges := parallel.Shards(len(todo), workers)
-	tasks := make([]func(context.Context) error, 0, len(ranges))
-	for w, rg := range ranges {
-		w, rg := w, rg
-		tasks = append(tasks, func(ctx context.Context) error {
+	var next atomic.Int64
+	tasks := make([]func(context.Context) error, workers)
+	for w := range tasks {
+		tasks[w] = func(ctx context.Context) error {
 			shard, err := openShard(rc.OutDir, w)
 			if err != nil {
 				return err
 			}
 			defer shard.Close()
-			for _, cell := range todo[rg.Lo:rg.Hi] {
-				if err := ctx.Err(); err != nil {
-					return err
+			for {
+				i := int(next.Add(1) - 1)
+				// A worker stopped by cancellation reports nothing: the
+				// cause is the sibling's cell error or the caller's
+				// ctx.Err(), both returned below.
+				if i >= len(groups) || ctx.Err() != nil {
+					return nil
 				}
-				if err := runCell(ev, cell, shard, manifest, &manifestMu); err != nil {
+				if err := runGroup(ev, groups[i], shard, manifest, &manifestMu); err != nil {
 					return err
 				}
 			}
-			return nil
-		})
+		}
 	}
-	return parallel.Do(ctx, workers, tasks...)
+	if err := parallel.Do(ctx, workers, tasks...); err != nil {
+		return err
+	}
+	return ctx.Err()
 }
 
-func runCell(ev *Evaluator, cell Cell, shard, manifest *os.File, manifestMu *sync.Mutex) error {
-	span := obs.StartSpan("sweep/cell")
-	res, err := ev.Run(cell)
+// groupByScenario splits cells into runs sharing one scenario, in order
+// of each scenario's first cell; cells keep their order within a group.
+func groupByScenario(cells []Cell) [][]Cell {
+	index := make(map[Cell]int)
+	var groups [][]Cell
+	for _, c := range cells {
+		k := c.scenario()
+		i, ok := index[k]
+		if !ok {
+			i = len(groups)
+			index[k] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], c)
+	}
+	return groups
+}
+
+// runGroup simulates one scenario and persists each of its cells.
+func runGroup(ev *Evaluator, cells []Cell, shard, manifest *os.File, manifestMu *sync.Mutex) error {
+	span := obs.StartSpan("sweep/scenario")
+	results, err := ev.RunGroup(cells)
 	span.End()
 	if err != nil {
 		return err
 	}
-	line, err := json.Marshal(res)
-	if err != nil {
-		return fmt.Errorf("sweep: cell %s: %w", cell.ID, err)
+	obs.Add("sweep.simulations", 1)
+	for _, res := range results {
+		line, err := json.Marshal(res)
+		if err != nil {
+			return fmt.Errorf("sweep: cell %s: %w", res.ID, err)
+		}
+		// Result first, manifest second: a cell is only "done" once its
+		// bytes are on disk. Both writes are single unbuffered syscalls.
+		if _, err := shard.Write(append(line, '\n')); err != nil {
+			return fmt.Errorf("sweep: cell %s: %w", res.ID, err)
+		}
+		manifestMu.Lock()
+		_, err = manifest.WriteString(res.ID + "\n")
+		manifestMu.Unlock()
+		if err != nil {
+			return fmt.Errorf("sweep: cell %s: %w", res.ID, err)
+		}
+		obs.Add("sweep.cells.done", 1)
 	}
-	// Result first, manifest second: a cell is only "done" once its
-	// bytes are on disk. Both writes are single unbuffered syscalls.
-	if _, err := shard.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("sweep: cell %s: %w", cell.ID, err)
-	}
-	manifestMu.Lock()
-	_, err = manifest.WriteString(cell.ID + "\n")
-	manifestMu.Unlock()
-	if err != nil {
-		return fmt.Errorf("sweep: cell %s: %w", cell.ID, err)
-	}
-	obs.Add("sweep.cells.done", 1)
 	return nil
 }
 

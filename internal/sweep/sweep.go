@@ -9,8 +9,11 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
+
+	"repro/internal/cli"
 )
 
 // Grid is the cartesian scenario space of one sweep. Cell enumeration
@@ -58,6 +61,9 @@ func (g Grid) Validate() error {
 		return fmt.Errorf("sweep: every grid axis needs at least one value")
 	}
 	for _, ck := range g.CkptIntervals {
+		if err := finite("checkpoint interval", ck); err != nil {
+			return err
+		}
 		if ck < 0 {
 			return fmt.Errorf("sweep: negative checkpoint interval %v", ck)
 		}
@@ -68,6 +74,9 @@ func (g Grid) Validate() error {
 		}
 	}
 	for _, a := range g.Accuracies {
+		if err := finite("prediction accuracy", a); err != nil {
+			return err
+		}
 		if a < 0 || a >= 1 {
 			return fmt.Errorf("sweep: prediction accuracy %v outside [0, 1)", a)
 		}
@@ -83,6 +92,29 @@ func (g Grid) Validate() error {
 		if !ok {
 			return fmt.Errorf("sweep: unknown policy %q (want one of %v)", p, PolicyNames)
 		}
+	}
+	// A repeated value would enumerate cells with repeated IDs, and the
+	// report would repeat their lines.
+	return cli.FirstError(
+		distinct("system", g.Systems),
+		distinct("checkpoint interval", g.CkptIntervals),
+		distinct("spare stock", g.Spares),
+		distinct("prediction accuracy", g.Accuracies),
+		distinct("policy", g.Policies),
+		distinct("seed", g.Seeds),
+	)
+}
+
+// ErrDuplicate marks a grid axis that lists one value twice.
+var ErrDuplicate = errors.New("duplicate axis value")
+
+func distinct[T comparable](axis string, values []T) error {
+	seen := make(map[T]bool, len(values))
+	for _, v := range values {
+		if seen[v] {
+			return fmt.Errorf("sweep: %s %v: %w", axis, v, ErrDuplicate)
+		}
+		seen[v] = true
 	}
 	return nil
 }

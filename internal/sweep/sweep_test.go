@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -71,19 +73,62 @@ func TestGridEnumeration(t *testing.T) {
 }
 
 func TestGridValidate(t *testing.T) {
-	cases := []Grid{
-		{},
-		{Systems: []string{"t2"}, CkptIntervals: []float64{-1}, Spares: []int{0}, Accuracies: []float64{0}, Seeds: []int64{1}},
-		{Systems: []string{"t2"}, CkptIntervals: []float64{0}, Spares: []int{-2}, Accuracies: []float64{0}, Seeds: []int64{1}},
-		{Systems: []string{"t2"}, CkptIntervals: []float64{0}, Spares: []int{0}, Accuracies: []float64{1}, Seeds: []int64{1}},
+	with := func(edit func(*Grid)) Grid {
+		g := testGrid()
+		edit(&g)
+		return g
 	}
-	for i, g := range cases {
-		if err := g.Validate(); err == nil {
-			t.Errorf("case %d: invalid grid passed validation", i)
+	cases := []struct {
+		grid Grid
+		want error // a sentinel the error must wrap, or nil for any error
+	}{
+		{Grid{}, nil},
+		{with(func(g *Grid) { g.CkptIntervals = []float64{-1} }), nil},
+		{with(func(g *Grid) { g.Spares = []int{-2} }), nil},
+		{with(func(g *Grid) { g.Accuracies = []float64{1} }), nil},
+		{with(func(g *Grid) { g.CkptIntervals = []float64{0, math.NaN()} }), ErrNonFinite},
+		{with(func(g *Grid) { g.CkptIntervals = []float64{math.Inf(1)} }), ErrNonFinite},
+		{with(func(g *Grid) { g.Accuracies = []float64{math.NaN()} }), ErrNonFinite},
+		{with(func(g *Grid) { g.Accuracies = []float64{math.Inf(-1)} }), ErrNonFinite},
+		{with(func(g *Grid) { g.Systems = []string{"t2", "t3", "t2"} }), ErrDuplicate},
+		{with(func(g *Grid) { g.CkptIntervals = []float64{24, 24} }), ErrDuplicate},
+		{with(func(g *Grid) { g.Spares = []int{-1, -1} }), ErrDuplicate},
+		{with(func(g *Grid) { g.Accuracies = []float64{0, math.Copysign(0, -1)} }), ErrDuplicate},
+		{with(func(g *Grid) { g.Policies = []string{"none", "batch", "none"} }), ErrDuplicate},
+		{with(func(g *Grid) { g.Seeds = []int64{3, 3} }), ErrDuplicate},
+	}
+	for i, c := range cases {
+		err := c.grid.Validate()
+		if err == nil || (c.want != nil && !errors.Is(err, c.want)) {
+			t.Errorf("case %d: Validate() = %v, want an error wrapping %v", i, err, c.want)
 		}
 	}
 	if err := testGrid().Validate(); err != nil {
 		t.Errorf("valid grid rejected: %v", err)
+	}
+}
+
+func TestParamsValidate(t *testing.T) {
+	cases := []func(*Params){
+		func(p *Params) { p.HorizonHours = math.Inf(1) },
+		func(p *Params) { p.HorizonHours = math.NaN() },
+		func(p *Params) { p.LeadTimeHours = math.Inf(1) },
+		func(p *Params) { p.AlarmWindowHours = math.Inf(1) },
+		func(p *Params) { p.CheckpointCostHours = math.Inf(1) },
+		func(p *Params) { p.RestartCostHours = math.Inf(1) },
+		func(p *Params) { p.RestartCostHours = math.NaN() },
+		func(p *Params) { p.BatchWindowHours = math.Inf(1) },
+		func(p *Params) { p.BatchWindowHours = math.NaN() },
+	}
+	for i, edit := range cases {
+		p := testParams()
+		edit(&p)
+		if err := p.Validate(); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("case %d: Validate() = %v, want ErrNonFinite", i, err)
+		}
+	}
+	if err := testParams().Validate(); err != nil {
+		t.Errorf("valid params rejected: %v", err)
 	}
 }
 
@@ -125,6 +170,54 @@ func TestEvaluatorRejectsUnknownSystem(t *testing.T) {
 	}
 	if _, err := ev.Run(Cell{ID: "x", System: "t3"}); err == nil {
 		t.Fatal("unfitted system accepted")
+	}
+}
+
+func TestRunGroupRejectsMixedScenarios(t *testing.T) {
+	ev, err := NewEvaluator(testParams(), []string{"t2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := testGrid().Cells()
+	// cells[0] and cells[1] differ in seed, not just the interval.
+	if _, err := ev.RunGroup(cells[:2]); err == nil {
+		t.Fatal("RunGroup accepted cells of two scenarios")
+	}
+}
+
+// TestRunCellsReportsCellError: a cell error must reach the caller even
+// when a sibling worker stops on the pool's cancellation. Before, the
+// sibling's context.Canceled came from a lower task index and won, so
+// the CLI reported an interruption instead of the failing cell.
+func TestRunCellsReportsCellError(t *testing.T) {
+	ev, err := NewEvaluator(testParams(), []string{"t2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := testGrid()
+	g.Systems = []string{"t2", "t3"} // t3 was never fitted
+	dir := t.TempDir()
+	rc := RunnerConfig{Grid: g, Params: testParams(), OutDir: dir, Parallelism: 2}
+	err = runCells(context.Background(), rc, ev, filepath.Join(dir, ManifestName), g.Cells())
+	if err == nil || errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "unfitted system") {
+		t.Fatalf("runCells = %v, want the unfitted-system cell error", err)
+	}
+}
+
+func TestRunCellsReturnsCallerCancellation(t *testing.T) {
+	ev, err := NewEvaluator(testParams(), []string{"t2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	dir := t.TempDir()
+	for _, width := range []int{1, 2} {
+		rc := RunnerConfig{Grid: testGrid(), Params: testParams(), OutDir: dir, Parallelism: width}
+		err := runCells(ctx, rc, ev, filepath.Join(dir, ManifestName), testGrid().Cells())
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("width %d: runCells = %v, want context.Canceled", width, err)
+		}
 	}
 }
 
