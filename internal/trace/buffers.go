@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -20,8 +21,7 @@ var readPool = sync.Pool{
 
 // slurp reads all of r into a pooled buffer. The caller must hand the
 // buffer back via releaseBuf once every byte parsed from it has been
-// copied out (both readers copy: encoding/csv re-allocates field strings
-// per row and encoding/json copies into the target struct).
+// copied out (encoding/csv re-allocates field strings per row).
 func slurp(r io.Reader) (*bytes.Buffer, error) {
 	buf, ok := readPool.Get().(*bytes.Buffer)
 	if !ok {
@@ -55,6 +55,97 @@ func countLines(data []byte) int {
 		n++
 	}
 	return n
+}
+
+// minRecordBytes bounds a text record's size from below: a valid record
+// holds at least a 20-byte RFC 3339 time, a system and a category name,
+// and the delimiters between them, so no valid CSV row or NDJSON line is
+// shorter.
+const minRecordBytes = 32
+
+// presize is the record-slice pre-size for size bytes of input holding
+// lines lines. The byte bound keeps input without records — a file of
+// blank lines — from reserving a record per newline, many times the
+// input's own size.
+func presize(lines, size int) int {
+	return min(lines, size/minRecordBytes+1)
+}
+
+// Chunk sizes of chunkReader: small inputs, tests and fuzzing pay for a
+// small first buffer, and large inputs settle at a few MiB per chunk.
+const (
+	minChunk = 64 << 10
+	maxChunk = 4 << 20
+)
+
+// chunkReader cuts a stream into newline-aligned chunks. Each chunk ends
+// at the last '\n' its buffer holds and the partial line after it is
+// carried into the next chunk; only the final chunk may end without a
+// newline. Chunk sizes start at minChunk (or the ceiling, if smaller) and
+// double at each grow call up to the ceiling. A line longer than the
+// current size grows its buffer until the line fits, so memory stays
+// bounded by the input.
+type chunkReader struct {
+	r       io.Reader
+	size    int
+	ceiling int
+	carry   []byte
+	eof     bool
+}
+
+func newChunkReader(r io.Reader, ceiling int) *chunkReader {
+	ceiling = max(ceiling, 1)
+	return &chunkReader{r: r, size: min(minChunk, ceiling), ceiling: ceiling}
+}
+
+// next reads the next chunk into buf's storage, growing it as needed,
+// and returns it; nil means the input is exhausted.
+func (c *chunkReader) next(buf []byte) ([]byte, error) {
+	buf = append(buf[:0], c.carry...)
+	c.carry = c.carry[:0]
+	size := c.size
+	for !c.eof {
+		for size <= len(buf) {
+			size *= 2
+		}
+		buf = slices.Grow(buf, size-len(buf))
+		n, err := io.ReadFull(c.r, buf[len(buf):size])
+		buf = buf[:len(buf)+n]
+		switch {
+		case err == io.EOF || err == io.ErrUnexpectedEOF:
+			c.eof = true
+		case err != nil:
+			return nil, fmt.Errorf("trace: reading input: %w", err)
+		default:
+			if i := bytes.LastIndexByte(buf, '\n'); i >= 0 {
+				c.carry = append(c.carry, buf[i+1:]...)
+				return buf[:i+1], nil
+			}
+		}
+	}
+	if len(buf) == 0 {
+		return nil, nil
+	}
+	return buf, nil
+}
+
+// grow doubles the size of the chunks to come, up to the ceiling.
+func (c *chunkReader) grow() { c.size = min(2*c.size, c.ceiling) }
+
+// rest returns the given chunks, the carried partial line and the unread
+// input as one slice.
+func (c *chunkReader) rest(chunks [][]byte) ([]byte, error) {
+	var buf bytes.Buffer
+	for _, chunk := range chunks {
+		buf.Write(chunk)
+	}
+	buf.Write(c.carry)
+	if !c.eof {
+		if _, err := buf.ReadFrom(c.r); err != nil {
+			return nil, fmt.Errorf("trace: reading input: %w", err)
+		}
+	}
+	return buf.Bytes(), nil
 }
 
 // utf8BOM is the byte-order mark Excel and PowerShell prepend to CSV

@@ -93,8 +93,9 @@ func WriteCSV(w io.Writer, log *failures.Log) error {
 // padding around field values.
 //
 // The input is slurped into a pooled buffer and the record slice is
-// pre-sized from its line count, so a load performs one input read and
-// one record-slice allocation regardless of log size.
+// pre-sized from its line count (bounded by its size, see presize), so
+// a load performs one input read and one record-slice allocation
+// regardless of log size.
 func ReadCSV(r io.Reader) (*failures.Log, error) {
 	defer obs.StartSpan("trace/read-csv").End()
 	buf, err := slurp(r)
@@ -123,7 +124,7 @@ func ReadCSV(r io.Reader) (*failures.Log, error) {
 		lines-- // header
 	}
 	obs.Add("trace/csv_rows", int64(lines))
-	records := make([]failures.Failure, 0, lines)
+	records := make([]failures.Failure, 0, presize(lines, len(data)))
 	var system failures.System
 	for line := 2; ; line++ {
 		row, err := cr.Read()

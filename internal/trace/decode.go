@@ -2,8 +2,11 @@ package trace
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"unicode/utf8"
+
+	"repro/internal/failures"
 )
 
 // This file holds the decode twin of the append-based encoders in
@@ -28,19 +31,21 @@ import (
 // ok=false means the line deviates from the canonical form and the
 // caller must fall back to encoding/json; it never means "invalid
 // input" — malformed lines also just fall back, and fail there.
-func parseNDJSONRecordFast(line []byte) (rec jsonRecord, ok bool) {
+//
+// The system, category and software-cause strings are interned against
+// failures' closed vocabularies, so canonical values cost no allocation.
+// With a nil arena the node and GPU slots are allocated per record;
+// with an arena they are appended to it instead, rec.Node and rec.GPUs
+// are left empty, and the arena's attach hands them out later.
+func parseNDJSONRecordFast(line []byte, a *chunkArena) (rec jsonRecord, ok bool) {
 	p := lineParser{b: line}
 	p.ws()
 	if !p.eat('{') {
 		return rec, false
 	}
 	p.ws()
-	if p.eat('}') {
-		p.ws()
-		return rec, p.pos == len(p.b)
-	}
 	var seen uint16
-	for {
+	for closed := p.eat('}'); !closed; {
 		p.ws()
 		key, ok := p.str()
 		if !ok {
@@ -60,7 +65,7 @@ func parseNDJSONRecordFast(line []byte) (rec jsonRecord, ok bool) {
 			bit = 1 << 1
 			var s []byte
 			s, ok = p.str()
-			rec.System = string(s)
+			rec.System = intern(s)
 		case "time":
 			bit = 1 << 2
 			var tok []byte
@@ -79,20 +84,31 @@ func parseNDJSONRecordFast(line []byte) (rec jsonRecord, ok bool) {
 			bit = 1 << 4
 			var s []byte
 			s, ok = p.str()
-			rec.Category = string(s)
+			rec.Category = intern(s)
 		case "node":
 			bit = 1 << 5
 			var s []byte
 			s, ok = p.str()
-			rec.Node = string(s)
+			if a != nil {
+				a.nodes = append(a.nodes, s...)
+			} else {
+				rec.Node = string(s)
+			}
 		case "gpus":
-			bit = 1 << 6
-			rec.GPUs, ok = p.intArray()
+			bit = gpusBit
+			if a != nil {
+				a.gpus, ok = p.intArray(a.gpus)
+			} else {
+				var slots [8]int
+				var v []int
+				v, ok = p.intArray(slots[:0])
+				rec.GPUs = append(make([]int, 0, len(v)), v...)
+			}
 		case "software_cause":
 			bit = 1 << 7
 			var s []byte
 			s, ok = p.str()
-			rec.SoftwareCause = string(s)
+			rec.SoftwareCause = intern(s)
 		default:
 			return rec, false
 		}
@@ -101,16 +117,96 @@ func parseNDJSONRecordFast(line []byte) (rec jsonRecord, ok bool) {
 		}
 		seen |= bit
 		p.ws()
-		if p.eat(',') {
-			continue
+		if closed = p.eat('}'); !closed && !p.eat(',') {
+			return rec, false
 		}
-		if p.eat('}') {
-			break
-		}
-		return rec, false
 	}
 	p.ws()
-	return rec, p.pos == len(p.b)
+	if p.pos != len(p.b) {
+		return rec, false
+	}
+	if a != nil {
+		a.ends = append(a.ends, arenaEnd{node: len(a.nodes), gpu: len(a.gpus), hasGPUs: seen&gpusBit != 0})
+	}
+	return rec, true
+}
+
+// gpusBit is the seen-mask bit of the "gpus" key.
+const gpusBit = 1 << 6
+
+// vocabulary maps every name in failures' closed vocabularies (the
+// system names, both category taxonomies, the software causes) to
+// itself. Node names are deliberately absent: a large trace has
+// hundreds of thousands of distinct nodes, so interning them would only
+// grow a table.
+var vocabulary = func() map[string]string {
+	m := make(map[string]string)
+	for _, sys := range []failures.System{failures.Tsubame2, failures.Tsubame3} {
+		m[sys.String()] = sys.String()
+		for _, c := range failures.Categories(sys) {
+			m[string(c)] = string(c)
+		}
+	}
+	for _, c := range failures.SoftwareCauses() {
+		m[string(c)] = string(c)
+	}
+	return m
+}()
+
+// intern returns the vocabulary's copy of s when it has one (the lookup
+// does not allocate), else a fresh string.
+func intern(s []byte) string {
+	if v, ok := vocabulary[string(s)]; ok {
+		return v
+	}
+	return string(s)
+}
+
+// chunkArena holds the variable-length fields of one chunk's records
+// while the chunk parses: every node name back to back in nodes, every
+// GPU slot in gpus, and where each record's fields end in both. attach
+// then hands them out as substrings of one string and subslices of one
+// []int, as the .tsbc block decoder does, so a chunk costs two
+// allocations for these fields instead of two per record.
+type chunkArena struct {
+	nodes []byte
+	gpus  []int
+	ends  []arenaEnd
+}
+
+// arenaEnd is one record's end offsets into the arena. hasGPUs tells an
+// explicit empty "gpus" array, which decodes to a non-nil empty slice,
+// from an absent one.
+type arenaEnd struct {
+	node, gpu int
+	hasGPUs   bool
+}
+
+// reset empties the arena for a chunk of size bytes and about n
+// records, keeping its capacity and reserving enough for typical
+// records (a short node name, a GPU slot or none) to append without
+// regrowing.
+func (a *chunkArena) reset(size, n int) {
+	a.nodes = slices.Grow(a.nodes[:0], size/16)
+	a.gpus = slices.Grow(a.gpus[:0], n)
+	a.ends = slices.Grow(a.ends[:0], n)
+}
+
+// attach sets the Node and GPUs fields of records, which must be the
+// records parsed into the arena since reset, in order.
+func (a *chunkArena) attach(records []failures.Failure) {
+	nodes := string(a.nodes)
+	gpus := append(make([]int, 0, len(a.gpus)), a.gpus...)
+	var node, gpu int
+	for i, e := range a.ends {
+		if e.node > node {
+			records[i].Node = nodes[node:e.node]
+		}
+		if e.hasGPUs {
+			records[i].GPUs = gpus[gpu:e.gpu:e.gpu]
+		}
+		node, gpu = e.node, e.gpu
+	}
 }
 
 // lineParser is a cursor over one line. Methods advance pos on success;
@@ -245,31 +341,31 @@ func (p *lineParser) number() ([]byte, bool) {
 	return p.b[start:p.pos], true
 }
 
-// intArray parses a flat array of JSON integers. An empty array decodes
-// to an empty non-nil slice, matching json.Unmarshal into []int.
-func (p *lineParser) intArray() ([]int, bool) {
+// intArray parses a flat array of JSON integers and appends them to
+// dst. Callers turn an empty array into an empty non-nil slice,
+// matching json.Unmarshal into []int.
+func (p *lineParser) intArray(dst []int) ([]int, bool) {
 	if !p.eat('[') {
-		return nil, false
+		return dst, false
 	}
 	p.ws()
-	out := []int{}
 	if p.eat(']') {
-		return out, true
+		return dst, true
 	}
 	for {
 		v, ok := p.integer()
 		if !ok {
-			return nil, false
+			return dst, false
 		}
-		out = append(out, v)
+		dst = append(dst, v)
 		p.ws()
 		if p.eat(',') {
 			p.ws()
 			continue
 		}
 		if p.eat(']') {
-			return out, true
+			return dst, true
 		}
-		return nil, false
+		return dst, false
 	}
 }

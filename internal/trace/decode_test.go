@@ -57,7 +57,7 @@ func TestFastParserAcceptsCanonicalLines(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte{'\n'}) {
-			if _, ok := parseNDJSONRecordFast(line); !ok {
+			if _, ok := parseNDJSONRecordFast(line, nil); !ok {
 				t.Fatalf("canonical line declined the fast path: %q", line)
 			}
 			diffLine(t, line)
@@ -160,16 +160,17 @@ func TestFastParserDeclines(t *testing.T) {
 		`{"id":1,"system":{"name":"Tsubame-2"}}`, // nested value
 	}
 	for _, line := range declined {
-		if _, ok := parseNDJSONRecordFast([]byte(line)); ok {
+		if _, ok := parseNDJSONRecordFast([]byte(line), nil); ok {
 			t.Errorf("fast parser accepted %q, want decline", line)
 		}
 	}
 }
 
-// TestReadNDJSONFastMatchesDecoder pins the whole-file fast path: a
+// TestReadNDJSONFastMatchesDecoder pins the chunked fast path: a
 // canonical multi-line stream (blank lines, CRLF, surrounding spaces)
-// decodes to the same log as the json.Decoder loop, and a stream with one
-// non-canonical line falls back wholesale yet still parses identically.
+// decodes to the same log as the json.Decoder loop at every chunk size
+// and width, and a stream with one non-canonical line declines the fast
+// parser in its chunk yet still parses identically.
 func TestReadNDJSONFastMatchesDecoder(t *testing.T) {
 	log, err := synth.Generate(synth.Tsubame2Profile(), 7)
 	if err != nil {
@@ -189,16 +190,20 @@ func TestReadNDJSONFastMatchesDecoder(t *testing.T) {
 		"decorated": decorated,
 		"fallback":  fallback,
 	} {
-		got, err := ReadNDJSON(strings.NewReader(in))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if res := parseChunk([]byte(in), &chunkArena{}); res.declined != (name == "fallback") {
+			t.Fatalf("%s: fast parser declined = %v", name, res.declined)
 		}
-		if rf, ok := readNDJSONFast([]byte(in), 4); name == "fallback" && ok {
-			t.Fatalf("fallback input took the fast path: %+v", rf)
-		}
-		logsEqual(t, got, log)
-		if !reflect.DeepEqual(got.Records(), log.Records()) {
-			t.Fatalf("%s: records differ from original log", name)
+		for _, ceiling := range []int{1, 4 << 10, maxChunk} {
+			for _, width := range []int{1, 3} {
+				got, err := readNDJSON(strings.NewReader(in), width, ceiling)
+				if err != nil {
+					t.Fatalf("%s (ceiling %d, width %d): %v", name, ceiling, width, err)
+				}
+				logsEqual(t, got, log)
+				if !reflect.DeepEqual(got.Records(), log.Records()) {
+					t.Fatalf("%s (ceiling %d, width %d): records differ from original log", name, ceiling, width)
+				}
+			}
 		}
 	}
 }

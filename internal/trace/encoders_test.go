@@ -278,6 +278,39 @@ func TestWriteAllocsNotPerRecord(t *testing.T) {
 	}
 }
 
+// TestReadNDJSONAllocsNotPerRecord is the reader's twin of the gate
+// above: decoding 10,140 canonical records must cost allocations per
+// chunk (buffers, record slices, arenas, pool batches), not per record.
+// The whole-input reader allocated four times a record.
+func TestReadNDJSONAllocsNotPerRecord(t *testing.T) {
+	p := synth.Tsubame3Profile()
+	for i := range p.Categories {
+		p.Categories[i].Count *= 30
+	}
+	for i := range p.SoftwareCauses {
+		p.SoftwareCauses[i].Count *= 30
+	}
+	p.NodeCount *= 30
+	p.SoftwareOnMultiNodes *= 30
+	log, err := synth.Generate(p, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteNDJSON(&buf, log); err != nil {
+		t.Fatal(err)
+	}
+	// A fixed width keeps the chunk count independent of the host.
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := readNDJSON(bytes.NewReader(buf.Bytes()), 4, maxChunk); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(log.Len()) / 50; allocs > limit {
+		t.Errorf("%v allocs per read of %d records, want at most %v", allocs, log.Len(), limit)
+	}
+}
+
 // discardWriter is io.Discard without the fast-path interfaces, so the
 // bufio layer actually buffers.
 type discardWriter struct{}

@@ -113,3 +113,30 @@ func FuzzReadNDJSON(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadNDJSONChunks fuzzes the streaming reader against the
+// whole-input reader it replaced: for arbitrary bytes, chunk ceiling and
+// parse width, the log, the error text and the trace/ndjson_rows count
+// must match refReadNDJSON's.
+func FuzzReadNDJSONChunks(f *testing.F) {
+	log, err := synth.Generate(synth.Tsubame2Profile(), 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteNDJSON(&buf, log); err != nil {
+		f.Fatal(err)
+	}
+	lines := strings.SplitN(buf.String(), "\n", 5)
+	canonical := strings.Join(lines[:4], "\n") + "\n"
+	f.Add(canonical, uint16(40), uint8(1))
+	f.Add(strings.Replace(canonical, "\n", "\n\v\n", 1)+"{", uint16(1), uint8(2))
+	f.Add(strings.ReplaceAll(canonical, "\n", "\r\n\n"), uint16(100), uint8(3))
+	f.Add(canonical+lines[3], uint16(7), uint8(2))
+	f.Add("", uint16(0), uint8(0))
+	f.Fuzz(func(t *testing.T, data string, ceiling uint16, width uint8) {
+		if err := diffReaders([]byte(data), strings.NewReader(data), 1+int(width%3), 1+int(ceiling)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

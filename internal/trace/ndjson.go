@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/failures"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 )
 
 // jsonRecord is the NDJSON wire form of one failure record.
@@ -66,9 +68,12 @@ func WriteNDJSON(w io.Writer, log *failures.Log) error {
 // ReadNDJSON parses a newline-delimited JSON failure log. Blank lines are
 // skipped; the result is validated and time-sorted.
 //
-// As with ReadCSV, the input is slurped into a pooled buffer and the
-// record slice pre-sized from its line count: one input read, one
-// record-slice allocation.
+// The input streams through newline-aligned chunks (chunkReader), and up
+// to GOMAXPROCS chunks parse at once, so memory is bounded by the
+// decoded log plus a few chunk buffers rather than by the input file.
+// Input that is already UTC and in strictly ascending (time, ID) order —
+// everything WriteNDJSON produces — becomes the log without a copy or a
+// sort.
 //
 // Parse errors name the actual file line of the offending input. The
 // decoder used to report a "record N" counted over decoded values, which
@@ -76,89 +81,224 @@ func WriteNDJSON(w io.Writer, log *failures.Log) error {
 // lines; error positions are now recovered from the decoder's byte
 // offset, so the message points at the line an editor would open.
 func ReadNDJSON(r io.Reader) (*failures.Log, error) {
+	return readNDJSON(r, parallel.DefaultParallelism(), maxChunk)
+}
+
+// readNDJSON is ReadNDJSON with the parse width and the chunk ceiling as
+// parameters, so tests can cut tiny inputs into many chunks.
+//
+// Canonical one-record-per-line chunks decode through the fast line
+// parser. The first chunk holding a line the fast parser declines —
+// including any line that would fail to decode — and everything after
+// it falls through to decodeNDJSON, the encoding/json loop, which
+// tolerates values spanning lines and reports errors with real line
+// numbers. Records of the chunks before it are kept: those chunks hold
+// only complete canonical records and blank lines, which the json loop
+// would have decoded to the same records.
+//
+// The one exception is a line bytes.TrimSpace blanks that is not JSON
+// whitespace (a lone \v or U+00A0, say). The fast path skips it, but the
+// json loop fails on it, so once any line declines, the earliest such
+// line is where the json loop would have stopped, and it is decoded in
+// place of the rest.
+func readNDJSON(r io.Reader, width, ceiling int) (*failures.Log, error) {
 	defer obs.StartSpan("trace/read-ndjson").End()
-	buf, err := slurp(r)
-	if err != nil {
-		return nil, err
+	cr := newChunkReader(r, ceiling)
+	width = max(width, 1)
+	bufs := make([][]byte, width)
+	arenas := make([]chunkArena, width)
+	batch := make([][]byte, 0, width)
+	var (
+		parts      [][]failures.Failure // records of the accepted chunks
+		lines      int                  // lines of the accepted chunks
+		lastRecord int                  // line of their last record
+		odd        []byte               // the first non-JSON blank line, if any
+		oddLine    int                  // its line number
+	)
+	for eof := false; !eof; {
+		batch = batch[:0]
+		for len(batch) < width {
+			chunk, err := cr.next(bufs[len(batch)])
+			if err != nil {
+				return nil, err
+			}
+			if chunk == nil {
+				eof = true
+				break
+			}
+			bufs[len(batch)] = chunk
+			batch = append(batch, chunk)
+		}
+		// Chunks of one batch are the same size, so its parses take
+		// about the same time.
+		cr.grow()
+		results, _ := parallel.Map(context.Background(), width, batch, func(_ context.Context, i int, chunk []byte) (chunkResult, error) {
+			return parseChunk(chunk, &arenas[i]), nil
+		})
+		for i, res := range results {
+			if res.declined {
+				data, err := cr.rest(batch[i:])
+				if err != nil {
+					return nil, err
+				}
+				obs.Add("trace/ndjson_rows", int64(lines+countLines(data)))
+				from := lines
+				if odd != nil {
+					data, from = odd, oddLine-1
+				}
+				records, err := decodeNDJSON(data, from, lastRecord)
+				if err != nil {
+					return nil, err
+				}
+				return logFromParts(append(parts, records))
+			}
+			if odd == nil && res.odd != nil {
+				odd, oddLine = res.odd, lines+res.oddLine
+			}
+			if res.lastRecord > 0 {
+				lastRecord = lines + res.lastRecord
+			}
+			parts = append(parts, res.records)
+			lines += res.lines
+		}
 	}
-	defer releaseBuf(buf)
-	data := buf.Bytes()
-	lines := countLines(data)
 	obs.Add("trace/ndjson_rows", int64(lines))
+	return logFromParts(parts)
+}
 
-	// Canonical one-record-per-line input decodes through the fast line
-	// parser; any deviation — including any line that would fail to decode
-	// — falls through to the json.Decoder loop below, which tolerates
-	// values spanning lines and reports errors with real line numbers.
-	if records, ok := readNDJSONFast(data, lines); ok {
-		if len(records) == 0 {
-			return nil, fmt.Errorf("trace: NDJSON contains no records")
+// chunkResult is the fast parse of one chunk. Line numbers count from 1
+// within the chunk.
+type chunkResult struct {
+	records    []failures.Failure
+	lines      int
+	lastRecord int    // line of the last record, 0 if none
+	declined   bool   // some line needs the encoding/json loop
+	odd        []byte // copy of the first blank line that is not JSON whitespace
+	oddLine    int    // its line
+}
+
+// parseChunk decodes a newline-aligned chunk line by line through the
+// fast parser, with the variable-length fields cut from arena.
+func parseChunk(data []byte, arena *chunkArena) chunkResult {
+	res := chunkResult{lines: countLines(data)}
+	n := presize(res.lines, len(data))
+	records := make([]failures.Failure, 0, n)
+	arena.reset(len(data), n)
+	for start, line := 0, 1; start < len(data); line++ {
+		end := bytes.IndexByte(data[start:], '\n')
+		if end < 0 {
+			end = len(data)
+		} else {
+			end += start
 		}
-		log, err := failures.NewLog(records[0].System, records)
+		text := data[start:end]
+		start = end + 1
+		if len(bytes.TrimSpace(text)) == 0 {
+			if res.odd == nil && !jsonBlank(text) {
+				res.odd, res.oddLine = bytes.Clone(text), line
+			}
+			continue
+		}
+		rec, ok := parseNDJSONRecordFast(text, arena)
+		if !ok {
+			return chunkResult{declined: true}
+		}
+		f, err := recordFromWire(rec)
 		if err != nil {
-			return nil, fmt.Errorf("trace: validating NDJSON log: %w", err)
+			return chunkResult{declined: true}
 		}
-		return log, nil
+		records = append(records, f)
+		res.lastRecord = line
 	}
+	arena.attach(records)
+	res.records = records
+	return res
+}
 
+// jsonBlank reports whether line is all JSON whitespace.
+func jsonBlank(line []byte) bool {
+	for _, c := range line {
+		if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+			return false
+		}
+	}
+	return true
+}
+
+// decodeNDJSON decodes data through encoding/json, one value at a time.
+// data starts on a line boundary, after the input's first `from` lines,
+// and error messages count lines from the start of the input. before is
+// the line of the last record ahead of data (0 if none): truncated input
+// is reported where the last decoded value ended, and when that value
+// lies ahead of data, the decoder over data alone cannot see it.
+func decodeNDJSON(data []byte, from, before int) ([]failures.Failure, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
-	records := make([]failures.Failure, 0, lines)
-	var system failures.System
+	records := make([]failures.Failure, 0, presize(countLines(data), len(data)))
 	for {
 		recStart := dec.InputOffset()
 		var rec jsonRecord
 		if err := dec.Decode(&rec); err == io.EOF {
-			break
+			return records, nil
 		} else if err != nil {
-			return nil, fmt.Errorf("trace: decoding NDJSON line %d: %w", errorLine(data, dec, err), err)
+			line := from + errorLine(data, dec, err, recStart)
+			if err == io.ErrUnexpectedEOF && dec.InputOffset() == 0 {
+				line = max(before, 1)
+			}
+			return nil, fmt.Errorf("trace: decoding NDJSON line %d: %w", line, err)
 		}
 		f, err := recordFromWire(rec)
 		if err != nil {
-			return nil, fmt.Errorf("trace: NDJSON line %d: %w", recordLine(data, recStart), err)
-		}
-		if system == 0 {
-			system = f.System
+			return nil, fmt.Errorf("trace: NDJSON line %d: %w", from+recordLine(data, recStart), err)
 		}
 		records = append(records, f)
 	}
-	if len(records) == 0 {
+}
+
+// logFromParts joins the decoded parts, in input order, into one
+// exact-size slice and validates it as a log. Input already in the log's
+// order is taken over as is; anything else is copied and sorted.
+func logFromParts(parts [][]failures.Failure) (*failures.Log, error) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n == 0 {
 		return nil, fmt.Errorf("trace: NDJSON contains no records")
 	}
-	log, err := failures.NewLog(system, records)
+	records := make([]failures.Failure, 0, n)
+	for _, p := range parts {
+		records = append(records, p...)
+	}
+	build := failures.NewLog
+	if ascendingUTC(records) {
+		build = failures.NewLogSorted
+	}
+	log, err := build(records[0].System, records)
 	if err != nil {
 		return nil, fmt.Errorf("trace: validating NDJSON log: %w", err)
 	}
 	return log, nil
 }
 
-// readNDJSONFast decodes strictly line-delimited canonical input (blank
-// lines allowed). ok=false means some line declined the fast parser or
-// failed conversion; the caller re-decodes everything through
-// encoding/json so accepted inputs, rejected inputs, and error messages
-// are identical either way.
-func readNDJSONFast(data []byte, capHint int) ([]failures.Failure, bool) {
-	records := make([]failures.Failure, 0, capHint)
-	for start := 0; start < len(data); {
-		end := start
-		for end < len(data) && data[end] != '\n' {
-			end++
+// ascendingUTC reports whether every record is UTC and the records are
+// strictly ascending in (time, ID): then NewLog would return them
+// unchanged, and NewLogSorted can adopt them. Equal keys make it false.
+// NewLog's sort is not stable, so for them only NewLog itself says which
+// order results.
+func ascendingUTC(records []failures.Failure) bool {
+	for i := range records {
+		if records[i].Time.Location() != time.UTC {
+			return false
 		}
-		line := data[start:end]
-		start = end + 1
-		if len(bytes.TrimSpace(line)) == 0 {
+		if i == 0 {
 			continue
 		}
-		rec, ok := parseNDJSONRecordFast(line)
-		if !ok {
-			return nil, false
+		prev, cur := &records[i-1], &records[i]
+		if !prev.Time.Before(cur.Time) && (!prev.Time.Equal(cur.Time) || prev.ID >= cur.ID) {
+			return false
 		}
-		f, err := recordFromWire(rec)
-		if err != nil {
-			return nil, false
-		}
-		records = append(records, f)
 	}
-	return records, true
+	return true
 }
 
 // ParseNDJSONRecord parses one NDJSON wire line into a Failure. It is the
@@ -167,7 +307,7 @@ func readNDJSONFast(data []byte, capHint int) ([]failures.Failure, bool) {
 // size limits instead of slurping. Canonical lines take the hand-rolled
 // fast parser (decode.go); anything else falls back to encoding/json.
 func ParseNDJSONRecord(line []byte) (failures.Failure, error) {
-	if rec, ok := parseNDJSONRecordFast(line); ok {
+	if rec, ok := parseNDJSONRecordFast(line, nil); ok {
 		return recordFromWire(rec)
 	}
 	var rec jsonRecord
@@ -213,17 +353,19 @@ func lineAt(data []byte, off int64) int {
 	return 1 + bytes.Count(data[:off], []byte{'\n'})
 }
 
-// errorLine locates a decode error: JSON syntax and type errors carry the
-// byte offset where they occurred; anything else (truncated input) is
-// attributed to the decoder's current position.
-func errorLine(data []byte, dec *json.Decoder, err error) int {
+// errorLine locates an error decoding the value that starts at offset
+// recStart: JSON syntax errors carry the stream offset where they
+// occurred, type errors an offset from recStart; anything else
+// (truncated input, a bad time) is attributed to the decoder's current
+// position.
+func errorLine(data []byte, dec *json.Decoder, err error, recStart int64) int {
 	var syn *json.SyntaxError
 	if errors.As(err, &syn) {
 		return lineAt(data, syn.Offset)
 	}
 	var typ *json.UnmarshalTypeError
 	if errors.As(err, &typ) {
-		return lineAt(data, typ.Offset)
+		return lineAt(data, recStart+typ.Offset)
 	}
 	return lineAt(data, dec.InputOffset())
 }

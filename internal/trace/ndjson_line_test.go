@@ -40,6 +40,14 @@ func TestReadNDJSONErrorNamesTrueLine(t *testing.T) {
 			wantLine: "line 3",
 		},
 		{
+			// Lines: 1-3 valid, 4 type error. encoding/json measures a
+			// type error's offset from the end of the previous value;
+			// read as a file offset, it used to name line 1.
+			name:     "type error after records",
+			in:       validLine(1) + "\n" + validLine(2) + "\n" + validLine(3) + "\n" + `{"id":4,"system":"Tsubame-2","time":"2012-02-04T00:00:00Z","recovery_hours":"ten","category":"GPU"}` + "\n",
+			wantLine: "line 4:",
+		},
+		{
 			name:     "malformed first line",
 			in:       "{nope}\n" + validLine(2) + "\n",
 			wantLine: "line 1",

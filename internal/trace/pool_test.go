@@ -10,9 +10,9 @@ import (
 	"repro/internal/synth"
 )
 
-// TestPooledReadsAreIndependent re-reads the same payloads through the
-// pooled slurp path, sequentially and concurrently: records parsed from a
-// recycled buffer must not alias it (the readers copy every field), so
+// TestPooledReadsAreIndependent re-reads the same payloads, sequentially
+// and concurrently: records parsed from a recycled buffer (CSV's pooled
+// slurp buffer, NDJSON's reused chunk buffers) must not alias it, so
 // logs from consecutive and simultaneous reads stay identical.
 func TestPooledReadsAreIndependent(t *testing.T) {
 	log, err := synth.Generate(synth.Tsubame3Profile(), 7)
