@@ -22,15 +22,23 @@ BENCH_PKGS ?= ./...
 BENCH_OUT ?= BENCH_ci.json
 BENCH_TAGS ?=
 
-.PHONY: build test race bench bench-baseline bench-check bench-smoke bench-smoke-selftest sweep-smoke serve-smoke convert-smoke remediate-smoke profile-gen fuzz-smoke conform cover vet lint ci clean
+.PHONY: build test race bench bench-baseline bench-check bench-smoke bench-smoke-selftest sweep-smoke serve-smoke convert-smoke remediate-smoke profile-gen fuzz-smoke conform cover vet loc lint ci clean
 
 ## build: compile every package and command
 build:
 	$(GO) build ./...
 
-## vet: static analysis via go vet
+## vet: static analysis via go vet, plus gofmt over the tracked Go
+## files (any file gofmt would change fails the target)
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
+
+## loc: non-test Go lines outside benchmark/ (the "net non-test lines"
+## of ROADMAP)
+loc:
+	@./scripts/loc.sh
 
 ## test: the tier-1 test suite
 test:

@@ -27,7 +27,6 @@ import (
 	"testing"
 	"time"
 
-	tsubame "repro"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/failures"
@@ -93,7 +92,7 @@ func BenchmarkPerfIndexedStudy100k(b *testing.B) {
 	log := perfLog(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tsubame.Analyze(log); err != nil {
+		if _, err := core.NewStudy(log); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -108,7 +107,7 @@ func BenchmarkPerfIndexedStudy100kParallel(b *testing.B) {
 	log := perfLog(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tsubame.AnalyzeParallel(log, 0); err != nil {
+		if _, err := core.Run(log, core.Options{Parallelism: 0}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,14 +17,16 @@ import (
 	"testing"
 	"time"
 
-	tsubame "repro"
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/dist"
 	"repro/internal/failures"
 	"repro/internal/obs"
+	"repro/internal/predict"
 	"repro/internal/report"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/spares"
 	"repro/internal/synth"
 )
 
@@ -32,23 +34,23 @@ import (
 const benchSeed = 42
 
 // benchLogs generates both logs once per benchmark.
-func benchLogs(b *testing.B) (t2, t3 *tsubame.Log) {
+func benchLogs(b *testing.B) (t2, t3 *failures.Log) {
 	b.Helper()
-	t2, t3, err := tsubame.GenerateBoth(benchSeed)
+	t2, t3, err := synth.GenerateBoth(benchSeed)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return t2, t3
 }
 
-func benchStudies(b *testing.B) (*tsubame.Study, *tsubame.Study) {
+func benchStudies(b *testing.B) (*core.Study, *core.Study) {
 	b.Helper()
 	t2, t3 := benchLogs(b)
-	s2, err := tsubame.Analyze(t2)
+	s2, err := core.NewStudy(t2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	s3, err := tsubame.Analyze(t3)
+	s3, err := core.NewStudy(t3)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -393,11 +395,15 @@ func BenchmarkAblationSpares(b *testing.B) {
 	b.ResetTimer()
 	var fixed, predictive *sim.Result
 	for i := 0; i < b.N; i++ {
-		fixedParts, err := tsubame.FixedSpares(1, 72)
+		fixedParts, err := spares.NewFixedStock(1, 72)
 		if err != nil {
 			b.Fatal(err)
 		}
-		predParts, err := tsubame.PredictiveSpares(0.3, 72, 1.5)
+		rate, err := predict.NewEWMARate(0.3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		predParts, err := spares.NewPredictive(rate, 72, 1.5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -416,7 +422,7 @@ func BenchmarkAblationPrediction(b *testing.B) {
 	b.ResetTimer()
 	var recall, lift float64
 	for i := 0; i < b.N; i++ {
-		ev, err := tsubame.EvaluateLocalityPredictor(t2, 72)
+		ev, err := predict.EvaluateLocality(t2, 72)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -455,11 +461,11 @@ func BenchmarkAblationCheckpoint(b *testing.B) {
 func BenchmarkAblationClustering(b *testing.B) {
 	m := sched.CheckpointModel{CheckpointCostHours: 0.1, RestartCostHours: 0.2, MTBFHours: 72.6}
 	tau := m.OptimalInterval()
-	exp, err := tsubame.ExponentialDist(m.MTBFHours)
+	exp, err := dist.NewExponential(m.MTBFHours)
 	if err != nil {
 		b.Fatal(err)
 	}
-	clustered, err := tsubame.BurstyDist(m.MTBFHours, 0.3, 5)
+	clustered, err := burstyDist(m.MTBFHours, 0.3, 5)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -474,6 +480,50 @@ func BenchmarkAblationClustering(b *testing.B) {
 	}
 	b.ReportMetric(effRenewal, "renewal_efficiency")
 	b.ReportMetric(effClustered, "clustered_efficiency")
+}
+
+// burstyDist returns a hyperexponential burst/calm inter-arrival mixture
+// with the given overall mean: a burstFraction share of gaps averages
+// burstMeanHours, the remainder stretches so the total mean holds. It
+// models the temporal clustering of failures observed in Figure 8.
+func burstyDist(meanHours, burstFraction, burstMeanHours float64) (dist.Distribution, error) {
+	if burstFraction <= 0 || burstFraction >= 1 {
+		return nil, fmt.Errorf("burst fraction %v outside (0, 1)", burstFraction)
+	}
+	if !(burstMeanHours > 0) || !(meanHours > burstMeanHours*burstFraction) {
+		return nil, fmt.Errorf("burst mean %v incompatible with overall mean %v", burstMeanHours, meanHours)
+	}
+	calmMean := (meanHours - burstFraction*burstMeanHours) / (1 - burstFraction)
+	burst, err := dist.NewExponential(burstMeanHours)
+	if err != nil {
+		return nil, err
+	}
+	calm, err := dist.NewExponential(calmMean)
+	if err != nil {
+		return nil, err
+	}
+	return dist.NewMixture([]dist.Distribution{burst, calm}, []float64{burstFraction, 1 - burstFraction})
+}
+
+func TestBurstyDist(t *testing.T) {
+	d, err := burstyDist(72.6, 0.3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := d.Mean(); m < 72.5 || m > 72.7 {
+		t.Errorf("bursty mean = %v, want 72.6", m)
+	}
+	// Hyperexponential: variance strictly above the exponential's.
+	if d.Var() <= 72.6*72.6 {
+		t.Errorf("bursty variance = %v, want above exponential %v", d.Var(), 72.6*72.6)
+	}
+	for _, bad := range []struct{ mean, frac, burst float64 }{
+		{72, 0, 5}, {72, 1, 5}, {72, 0.5, 0}, {5, 0.9, 10},
+	} {
+		if _, err := burstyDist(bad.mean, bad.frac, bad.burst); err == nil {
+			t.Errorf("burstyDist(%v) should fail", bad)
+		}
+	}
 }
 
 // BenchmarkGenerate measures raw synthetic-log generation throughput.
@@ -491,7 +541,7 @@ func BenchmarkFullStudy(b *testing.B) {
 	t2, _ := benchLogs(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tsubame.Analyze(t2); err != nil {
+		if _, err := core.NewStudy(t2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -514,7 +564,7 @@ func BenchmarkFullStudySequential(b *testing.B) {
 	t2, _ := benchLogs(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tsubame.AnalyzeParallel(t2, 1); err != nil {
+		if _, err := core.Run(t2, core.Options{Parallelism: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -527,7 +577,7 @@ func BenchmarkParallelFullStudy(b *testing.B) {
 	t2, _ := benchLogs(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tsubame.AnalyzeParallel(t2, 0); err != nil {
+		if _, err := core.Run(t2, core.Options{Parallelism: 0}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -561,14 +611,14 @@ func BenchmarkParallelGenerateSeeds(b *testing.B) {
 
 // benchTrialConfig builds the multi-trial simulation workload shared by
 // the sequential and parallel trial benchmarks.
-func benchTrialConfig(b *testing.B) tsubame.SimConfig {
+func benchTrialConfig(b *testing.B) sim.Config {
 	b.Helper()
 	t2, _ := benchLogs(b)
 	procs, err := sim.ProcessesFromLog(t2, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return tsubame.SimConfig{
+	return sim.Config{
 		Nodes: 1408, GPUsPerNode: 3, HorizonHours: 4380,
 		Processes: procs, Crews: 8,
 	}
@@ -772,7 +822,7 @@ func BenchmarkFullStudyObserved(b *testing.B) {
 	obs.Reset()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tsubame.AnalyzeParallel(t2, 0); err != nil {
+		if _, err := core.Run(t2, core.Options{Parallelism: 0}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -840,7 +890,7 @@ func BenchmarkFullStudyInstrumentedDisabled(b *testing.B) {
 	defer obs.Enable(was)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tsubame.AnalyzeParallel(t2, 1); err != nil {
+		if _, err := core.Run(t2, core.Options{Parallelism: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -870,26 +920,4 @@ func TestObsDisabledOverhead(t *testing.T) {
 	if _, ok := obs.Take().SpanByName("overhead/span"); ok {
 		t.Error("disabled-mode calls must not record spans")
 	}
-}
-
-// BenchmarkExtWorkloadAttribution tests the paper's scope note that no
-// application exceeds its proportional failure share.
-func BenchmarkExtWorkloadAttribution(b *testing.B) {
-	t2, _ := benchLogs(b)
-	capacity, err := tsubame.WorkloadCapacity(t2, 1408, 0.8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	trace, err := tsubame.GenerateWorkloadTrace(30, capacity, 1.0, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var att *tsubame.WorkloadAttribution
-	for i := 0; i < b.N; i++ {
-		if att, err = tsubame.AttributeFailures(t2, trace, nil, benchSeed); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(att.P, "proportionality_p")
-	b.ReportMetric(att.MaxExcessRatio, "max_excess_ratio")
 }

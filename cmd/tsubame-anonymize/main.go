@@ -18,7 +18,6 @@ import (
 	"log"
 	"os"
 
-	tsubame "repro"
 	"repro/internal/cli"
 	"repro/internal/failures"
 )
@@ -65,7 +64,7 @@ func main() {
 		m.SetRecordCount("records", failureLog.Len())
 	}
 
-	anon, err := tsubame.AnonymizeLog(failureLog, failures.AnonymizeOptions{
+	anon, err := failures.Anonymize(failureLog, failures.AnonymizeOptions{
 		Key:                *key,
 		DropSoftwareCauses: *dropCauses,
 		CoarsenTimes:       *coarsen,

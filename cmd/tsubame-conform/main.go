@@ -22,10 +22,10 @@ import (
 	"strings"
 	"syscall"
 
-	tsubame "repro"
 	"repro/internal/cli"
 	"repro/internal/conform"
 	"repro/internal/parallel"
+	"repro/internal/synth"
 )
 
 func main() {
@@ -52,6 +52,7 @@ func main() {
 		cli.FractionInOpenUnit("alpha", *alpha),
 		cli.FractionInOpenUnit("budget", *budget),
 		cli.FractionInOpenUnit("pooled-alpha", *pooledAlpha),
+		checkSystem(*systemName),
 	)
 	run, err := cli.StartRun("tsubame-conform", *manifest, *debugAddr)
 	if err != nil {
@@ -119,39 +120,39 @@ func main() {
 
 // resolveProfiles loads the custom profile, or the built-in profile(s) of
 // the named system ("both" checks the two generations in sequence).
-func resolveProfiles(profilePath, systemName string) ([]*tsubame.Profile, error) {
+func resolveProfiles(profilePath, systemName string) ([]*synth.Profile, error) {
 	if profilePath != "" {
 		f, err := os.Open(profilePath)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
-		p, err := tsubame.ReadProfile(f)
+		p, err := synth.ReadProfile(f)
 		if err != nil {
 			return nil, err
 		}
-		return []*tsubame.Profile{p}, nil
+		return []*synth.Profile{p}, nil
 	}
 	if strings.EqualFold(systemName, "both") {
-		t2, err := tsubame.ProfileForSystem(tsubame.Tsubame2)
-		if err != nil {
-			return nil, err
-		}
-		t3, err := tsubame.ProfileForSystem(tsubame.Tsubame3)
-		if err != nil {
-			return nil, err
-		}
-		return []*tsubame.Profile{t2, t3}, nil
+		return []*synth.Profile{synth.Tsubame2Profile(), synth.Tsubame3Profile()}, nil
 	}
 	sys, err := cli.ParseSystem(systemName)
 	if err != nil {
 		return nil, err
 	}
-	p, err := tsubame.ProfileForSystem(sys)
+	p, err := synth.ProfileFor(sys)
 	if err != nil {
 		return nil, err
 	}
-	return []*tsubame.Profile{p}, nil
+	return []*synth.Profile{p}, nil
+}
+
+// checkSystem pre-validates -system, which also accepts "both".
+func checkSystem(name string) error {
+	if strings.EqualFold(name, "both") {
+		return nil
+	}
+	return cli.KnownSystem("system", name)
 }
 
 func printChecks(rep *conform.Report) {

@@ -17,8 +17,9 @@ import (
 	"os"
 	"time"
 
-	tsubame "repro"
 	"repro/internal/cli"
+	"repro/internal/core"
+	"repro/internal/failures"
 	"repro/internal/textreport"
 )
 
@@ -37,6 +38,7 @@ func main() {
 	flag.Parse()
 	cli.CheckFlags(
 		cli.FractionInOpenUnit("alpha", *alpha),
+		cli.KnownSystem("system", *systemName),
 	)
 	run, err := cli.StartRun("tsubame-diff", *manifest, "")
 	if err != nil {
@@ -52,7 +54,7 @@ func main() {
 		m.SetRecordCount("before_records", before.Len())
 		m.SetRecordCount("after_records", after.Len())
 	}
-	d, err := tsubame.DiffPeriods(before, after)
+	d, err := core.DiffPeriods(before, after)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func main() {
 	}
 }
 
-func loadPeriods(beforePath, afterPath, systemName string, seed int64, splitStr string) (before, after *tsubame.Log, err error) {
+func loadPeriods(beforePath, afterPath, systemName string, seed int64, splitStr string) (before, after *failures.Log, err error) {
 	if beforePath != "" || afterPath != "" {
 		if beforePath == "" || afterPath == "" {
 			return nil, nil, fmt.Errorf("supply both -before and -after, or neither")

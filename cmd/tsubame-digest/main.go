@@ -43,6 +43,7 @@ func main() {
 	flag.Parse()
 	cli.CheckFlags(
 		cli.PositiveInt("days", *days),
+		cli.KnownSystem("system", *systemName),
 	)
 	run, err := cli.StartRun("tsubame-digest", *manifest, "")
 	if err != nil {

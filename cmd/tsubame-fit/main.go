@@ -38,6 +38,7 @@ func main() {
 	cli.CheckFlags(
 		cli.PositiveInt("min", *minCount),
 		cli.NonNegativeInt("parallel", *para),
+		cli.KnownSystem("system", *systemName),
 	)
 	run, err := cli.StartRun("tsubame-fit", *manifest, "")
 	if err != nil {

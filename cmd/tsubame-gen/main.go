@@ -24,9 +24,10 @@ import (
 	"sync/atomic"
 	"syscall"
 
-	tsubame "repro"
 	"repro/internal/cli"
+	"repro/internal/failures"
 	"repro/internal/parallel"
+	"repro/internal/synth"
 )
 
 func main() {
@@ -48,6 +49,7 @@ func main() {
 	cli.CheckFlags(
 		cli.PositiveInt("runs", *runs),
 		cli.NonNegativeInt("parallel", *parallelism),
+		cli.KnownSystem("system", *systemName),
 	)
 	// The output format follows the -out extension (also with -runs,
 	// whose pattern keeps the extension); unrecognized or absent
@@ -132,7 +134,7 @@ func generateRuns(run *cli.Run, profilePath, systemName string, firstSeed int64,
 		total, logs atomic.Int64
 		stderrMu    sync.Mutex // interleave whole lines, not fragments
 	)
-	err = tsubame.GenerateEach(ctx, profile, seeds, parallelism, func(i int, failureLog *tsubame.Log) error {
+	err = synth.GenerateEach(ctx, profile, seeds, parallelism, func(i int, failureLog *failures.Log) error {
 		name := fmt.Sprintf(out, seeds[i])
 		f, err := os.Create(name)
 		if err != nil {
@@ -169,7 +171,7 @@ func generateRuns(run *cli.Run, profilePath, systemName string, firstSeed int64,
 
 // resolveProfile loads the custom profile file or the built-in profile of
 // the named system, stamping the choice into the run manifest.
-func resolveProfile(run *cli.Run, profilePath, systemName string) (*tsubame.Profile, error) {
+func resolveProfile(run *cli.Run, profilePath, systemName string) (*synth.Profile, error) {
 	profile, err := loadProfile(profilePath, systemName)
 	if err != nil {
 		return nil, err
@@ -180,40 +182,40 @@ func resolveProfile(run *cli.Run, profilePath, systemName string) (*tsubame.Prof
 	return profile, nil
 }
 
-func loadProfile(profilePath, systemName string) (*tsubame.Profile, error) {
+func loadProfile(profilePath, systemName string) (*synth.Profile, error) {
 	if profilePath != "" {
 		f, err := os.Open(profilePath)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
-		return tsubame.ReadProfile(f)
+		return synth.ReadProfile(f)
 	}
 	sys, err := cli.ParseSystem(systemName)
 	if err != nil {
 		return nil, err
 	}
-	return tsubame.ProfileForSystem(sys)
+	return synth.ProfileFor(sys)
 }
 
 // buildLog resolves the generation source: a custom profile file, or the
 // built-in profile of the named system. With exportDefault it prints the
 // built-in profile as JSON to stdout and returns a nil log.
-func buildLog(run *cli.Run, profilePath, systemName string, seed int64, exportDefault bool) (*tsubame.Log, error) {
+func buildLog(run *cli.Run, profilePath, systemName string, seed int64, exportDefault bool) (*failures.Log, error) {
 	if exportDefault {
 		sys, err := cli.ParseSystem(systemName)
 		if err != nil {
 			return nil, err
 		}
-		profile, err := tsubame.ProfileForSystem(sys)
+		profile, err := synth.ProfileFor(sys)
 		if err != nil {
 			return nil, err
 		}
-		return nil, tsubame.WriteProfile(os.Stdout, profile)
+		return nil, synth.WriteProfile(os.Stdout, profile)
 	}
 	profile, err := resolveProfile(run, profilePath, systemName)
 	if err != nil {
 		return nil, err
 	}
-	return tsubame.GenerateFromProfile(profile, seed)
+	return synth.Generate(profile, seed)
 }

@@ -25,12 +25,13 @@ import (
 	"os"
 	"strings"
 
-	tsubame "repro"
 	"repro/internal/cli"
 	"repro/internal/parallel"
 	"repro/internal/remediate"
 	"repro/internal/sim"
 	"repro/internal/spares"
+	"repro/internal/synth"
+	"repro/internal/system"
 )
 
 func main() {
@@ -69,6 +70,7 @@ func main() {
 		cli.PositiveFloat("lead", *lead),
 		checkPolicies(*policyNames),
 		checkSpares(*sparesKind),
+		cli.KnownSystem("system", *systemName),
 	)
 	obsRun, err := cli.StartRun("tsubame-remediate", *manifest, *debugAddr)
 	if err != nil {
@@ -79,15 +81,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	failureLog, err := tsubame.GenerateLog(sys, *logSeed)
+	failureLog, err := synth.GenerateSystem(sys, *logSeed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	procs, err := tsubame.FitProcesses(failureLog, 10)
+	procs, err := sim.ProcessesFromLog(failureLog, 10)
 	if err != nil {
 		log.Fatal(err)
 	}
-	machine, err := tsubame.MachineFor(sys)
+	machine, err := system.ForSystem(sys)
 	if err != nil {
 		log.Fatal(err)
 	}

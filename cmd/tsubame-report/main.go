@@ -16,8 +16,12 @@ import (
 	"log"
 	"os"
 
-	tsubame "repro"
 	"repro/internal/cli"
+	"repro/internal/core"
+	"repro/internal/failures"
+	"repro/internal/report"
+	"repro/internal/synth"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -41,7 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cmp, err := tsubame.Compare(t2, t3)
+	cmp, err := core.Compare(t2, t3)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,25 +55,25 @@ func main() {
 		m.SetRecordCount("t3_records", t3.Len())
 	}
 	if *markdown {
-		fmt.Print(tsubame.RenderMarkdownReport(cmp))
+		fmt.Print(report.MarkdownReport(cmp))
 		if err := run.Finish(); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
-	fmt.Print(tsubame.RenderFullReport(cmp))
+	fmt.Print(report.FullReport(cmp))
 	if *extensions {
 		fmt.Println()
-		fmt.Println(tsubame.RenderDrift(cmp))
-		fmt.Println(tsubame.RenderSurvival(cmp))
-		fmt.Println(tsubame.RenderSpatial(cmp.Old))
-		fmt.Println(tsubame.RenderSpatial(cmp.New))
+		fmt.Println(report.DriftTable(cmp))
+		fmt.Println(report.SurvivalTable(cmp.Old, cmp.New))
+		fmt.Println(report.SpatialTable(cmp.Old))
+		fmt.Println(report.SpatialTable(cmp.New))
 		for _, entry := range []struct {
 			name string
-			l    *tsubame.Log
+			l    *failures.Log
 		}{{"Tsubame-2", t2}, {"Tsubame-3", t3}} {
-			if series, err := tsubame.RollingMTBF(entry.l, 90, 45); err == nil {
-				fmt.Print(tsubame.RenderRollingMTBF("Rolling 90-day MTBF on "+entry.name+".", series))
+			if series, err := core.RollingMTBF(entry.l, 90, 45); err == nil {
+				fmt.Print(report.RollingChart("Rolling 90-day MTBF on "+entry.name+".", series))
 				fmt.Println()
 			}
 		}
@@ -79,9 +83,9 @@ func main() {
 	}
 }
 
-func loadLogs(seed int64, t2Path, t3Path string) (t2, t3 *tsubame.Log, err error) {
+func loadLogs(seed int64, t2Path, t3Path string) (t2, t3 *failures.Log, err error) {
 	if t2Path == "" && t3Path == "" {
-		return tsubame.GenerateBoth(seed)
+		return synth.GenerateBoth(seed)
 	}
 	if t2Path == "" || t3Path == "" {
 		return nil, nil, fmt.Errorf("supply both -t2 and -t3, or neither")
@@ -97,11 +101,11 @@ func loadLogs(seed int64, t2Path, t3Path string) (t2, t3 *tsubame.Log, err error
 	return t2, t3, nil
 }
 
-func readCSVFile(path string) (*tsubame.Log, error) {
+func readCSVFile(path string) (*failures.Log, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return tsubame.ReadCSV(f)
+	return trace.ReadCSV(f)
 }

@@ -55,6 +55,7 @@ func main() {
 		cli.NonNegativeInt("parallel", *para),
 		cli.NonNegativeInt("max-records", *maxRecords),
 		cli.NonNegativeDuration("max-age", *maxAge),
+		cli.KnownSystem("system", *systemName),
 	)
 	system, err := cli.ParseSystem(*systemName)
 	if err != nil {

@@ -22,10 +22,16 @@ import (
 	"sort"
 	"syscall"
 
-	tsubame "repro"
 	"repro/internal/cli"
+	"repro/internal/core"
+	"repro/internal/failures"
 	"repro/internal/parallel"
+	"repro/internal/predict"
+	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/spares"
+	"repro/internal/synth"
+	"repro/internal/system"
 )
 
 func main() {
@@ -61,6 +67,8 @@ func main() {
 		cli.NonNegativeFloat("restart-cost", *restart),
 		cli.NonNegativeFloat("proactive", *proactive),
 		cli.PositiveFloat("alarm", *alarmHours),
+		cli.KnownSystem("system", *systemName),
+		checkParts(*sparesKind, *stock, *lead),
 	)
 	obsRun, err := cli.StartRun("tsubame-sim", *manifest, *debugAddr)
 	if err != nil {
@@ -71,19 +79,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	failureLog, err := tsubame.GenerateLog(sys, *seed)
+	failureLog, err := synth.GenerateSystem(sys, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	procs, err := tsubame.FitProcesses(failureLog, 10)
+	procs, err := sim.ProcessesFromLog(failureLog, 10)
 	if err != nil {
 		log.Fatal(err)
 	}
-	machine, err := tsubame.MachineFor(sys)
+	machine, err := system.ForSystem(sys)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := tsubame.SimConfig{
+	cfg := sim.Config{
 		Nodes:        machine.Nodes,
 		NodesPerRack: machine.NodesPerRack,
 		GPUsPerNode:  machine.Node.NumGPUs,
@@ -93,10 +101,10 @@ func main() {
 		Seed:         *seed,
 	}
 	if *proactive > 0 {
-		cfg.Proactive = &tsubame.ProactiveRecovery{WindowHours: *alarmHours, Factor: *proactive}
+		cfg.Proactive = &sim.ProactiveRecovery{WindowHours: *alarmHours, Factor: *proactive}
 	}
 	// Parts policies are stateful, so each trial builds a fresh one.
-	partsFor := func() (tsubame.PartsPolicy, error) { return buildParts(*sparesKind, *stock, *lead) }
+	partsFor := func() (sim.PartsPolicy, error) { return buildParts(*sparesKind, *stock, *lead) }
 
 	if m := obsRun.Manifest(); m != nil {
 		m.AddSeedRange(*seed, *trials)
@@ -120,7 +128,7 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg.Parts = parts
-	res, err := tsubame.RunSimulation(cfg)
+	res, err := sim.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -142,17 +150,17 @@ func main() {
 	}
 	sort.Strings(cats)
 	for _, cat := range cats {
-		s := res.PerCategory[tsubame.Category(cat)]
+		s := res.PerCategory[failures.Category(cat)]
 		fmt.Printf("  %-12s %4d failures, %8.0f repair-hours, %8.0f wait-hours\n",
 			cat, s.Failures, s.RepairHours, s.WaitHours)
 	}
 
 	if *checkpoint {
-		study, err := tsubame.Analyze(failureLog)
+		study, err := core.NewStudy(failureLog)
 		if err != nil {
 			log.Fatal(err)
 		}
-		m := tsubame.CheckpointModel{
+		m := sched.CheckpointModel{
 			CheckpointCostHours: *ckptCost,
 			RestartCostHours:    *restart,
 			MTBFHours:           study.TBF.MTBFHours,
@@ -175,19 +183,19 @@ func main() {
 // runTrials replicates the simulation across consecutive seeds on a
 // bounded worker pool and prints per-trial lines plus the across-trial
 // aggregate.
-func runTrials(ctx context.Context, obsRun *cli.Run, sys tsubame.System, cfg tsubame.SimConfig, firstSeed int64, trials, parallelism int, partsFor func() (tsubame.PartsPolicy, error)) {
+func runTrials(ctx context.Context, obsRun *cli.Run, sys failures.System, cfg sim.Config, firstSeed int64, trials, parallelism int, partsFor func() (sim.PartsPolicy, error)) {
 	seeds := make([]int64, trials)
 	for i := range seeds {
 		seeds[i] = firstSeed + int64(i)
 	}
-	results, err := tsubame.RunSimulationTrialsContext(ctx, cfg, seeds, parallelism, partsFor)
+	results, err := sim.RunTrials(ctx, cfg, seeds, parallelism, partsFor)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			log.Fatal("interrupted before all trials completed")
 		}
 		log.Fatal(err)
 	}
-	st, err := tsubame.SummarizeSimulationTrials(results)
+	st, err := sim.SummarizeTrials(results)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -209,12 +217,23 @@ func runTrials(ctx context.Context, obsRun *cli.Run, sys tsubame.System, cfg tsu
 func buildParts(kind string, stock int, lead float64) (sim.PartsPolicy, error) {
 	switch kind {
 	case "unlimited":
-		return tsubame.UnlimitedSpares(), nil
+		return spares.Unlimited{}, nil
 	case "fixed":
-		return tsubame.FixedSpares(stock, lead)
+		return spares.NewFixedStock(stock, lead)
 	case "predictive":
-		return tsubame.PredictiveSpares(0.3, lead, 1.5)
+		rate, err := predict.NewEWMARate(0.3)
+		if err != nil {
+			return nil, err
+		}
+		return spares.NewPredictive(rate, lead, 1.5)
 	default:
-		return nil, fmt.Errorf("unknown spares policy %q", kind)
+		return nil, fmt.Errorf("-spares: unknown policy %q (want unlimited, fixed, or predictive)", kind)
 	}
+}
+
+// checkParts pre-validates -spares, -stock and -lead for the exit-2 usage
+// contract by building the policy once.
+func checkParts(kind string, stock int, lead float64) error {
+	_, err := buildParts(kind, stock, lead)
+	return err
 }

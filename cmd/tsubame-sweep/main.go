@@ -81,6 +81,9 @@ func main() {
 		cli.PositiveFloat("batch-window", *batchWin),
 		grid.Validate(),
 	}
+	for _, s := range grid.Systems {
+		checks = append(checks, cli.KnownSystem("systems", s))
+	}
 	cli.CheckFlags(checks...)
 
 	obsRun, err := cli.StartRun("tsubame-sweep", *manifest, *debugAddr)

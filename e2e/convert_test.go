@@ -11,7 +11,7 @@ import (
 	"strings"
 	"testing"
 
-	tsubame "repro"
+	"repro/internal/synth"
 )
 
 // TestTSBCPipeline drives the README's two-step workflow through the
@@ -142,9 +142,9 @@ func TestConvertSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The scaled profile is built with the library facade: the CLI's
+	// The scaled profile is built with the synth package: the CLI's
 	// -profile flag is the supported path for operator-scale traces.
-	p := tsubame.Tsubame3Profile()
+	p := synth.Tsubame3Profile()
 	for i := range p.Categories {
 		p.Categories[i].Count *= convertSmokeScale
 	}
@@ -158,7 +158,7 @@ func TestConvertSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tsubame.WriteProfile(pf, p); err != nil {
+	if err := synth.WriteProfile(pf, p); err != nil {
 		t.Fatal(err)
 	}
 	if err := pf.Close(); err != nil {

@@ -147,6 +147,7 @@ func firstDiff(want, got string) string {
 // flag values exit with status 2 (the conventional usage-error code) and
 // print usage to stderr.
 func TestBadFlagsExitTwo(t *testing.T) {
+	sweepOut := filepath.Join(t.TempDir(), "sweep")
 	cases := []struct {
 		tool string
 		args []string
@@ -165,6 +166,17 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"tsubame-serve", []string{"-max-body", "0"}},
 		{"tsubame-sim", []string{"-trials", "0"}},
 		{"tsubame-sweep", []string{"-seeds", "0"}}, // also missing -out
+		// An unknown system is a usage error, caught before any work.
+		{"tsubame-conform", []string{"-system", "t9"}},
+		{"tsubame-diff", []string{"-system", "t9"}},
+		{"tsubame-digest", []string{"-system", "t9"}},
+		{"tsubame-fit", []string{"-system", "t9"}},
+		{"tsubame-gen", []string{"-system", "t9"}},
+		{"tsubame-remediate", []string{"-system", "t9"}},
+		{"tsubame-serve", []string{"-system", "t9"}},
+		{"tsubame-sim", []string{"-system", "t9"}},
+		{"tsubame-sweep", []string{"-systems", "t9", "-out", sweepOut}},
+		{"tsubame-sim", []string{"-spares", "bogus"}}, // unknown policy
 	}
 	for _, c := range cases {
 		t.Run(c.tool, func(t *testing.T) {

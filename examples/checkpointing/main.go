@@ -10,21 +10,24 @@ import (
 	"fmt"
 	"log"
 
-	tsubame "repro"
+	"repro/internal/core"
+	"repro/internal/dist"
+	"repro/internal/sched"
+	"repro/internal/synth"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	t2, t3, err := tsubame.GenerateBoth(42)
+	t2, t3, err := synth.GenerateBoth(42)
 	if err != nil {
 		log.Fatal(err)
 	}
-	s2, err := tsubame.Analyze(t2)
+	s2, err := core.NewStudy(t2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	s3, err := tsubame.Analyze(t3)
+	s3, err := core.NewStudy(t3)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,8 +36,8 @@ func main() {
 		ckptCost    = 0.1 // hours to write a checkpoint
 		restartCost = 0.2 // hours to restart after a failure
 	)
-	m2 := tsubame.CheckpointModel{CheckpointCostHours: ckptCost, RestartCostHours: restartCost, MTBFHours: s2.TBF.MTBFHours}
-	m3 := tsubame.CheckpointModel{CheckpointCostHours: ckptCost, RestartCostHours: restartCost, MTBFHours: s3.TBF.MTBFHours}
+	m2 := sched.CheckpointModel{CheckpointCostHours: ckptCost, RestartCostHours: restartCost, MTBFHours: s2.TBF.MTBFHours}
+	m3 := sched.CheckpointModel{CheckpointCostHours: ckptCost, RestartCostHours: restartCost, MTBFHours: s3.TBF.MTBFHours}
 
 	fmt.Printf("Measured MTBF: Tsubame-2 %.1f h, Tsubame-3 %.1f h.\n", m2.MTBFHours, m3.MTBFHours)
 	fmt.Printf("Young/Daly optimal intervals: %.2f h vs %.2f h.\n\n", m2.OptimalInterval(), m3.OptimalInterval())
@@ -55,19 +58,19 @@ func main() {
 
 	// Validation against simulation, using each system's fitted TBF
 	// shape: exponential on Tsubame-2, heavy-tailed Weibull on Tsubame-3.
-	fail2, err := tsubame.ExponentialDist(m2.MTBFHours)
+	fail2, err := dist.NewExponential(m2.MTBFHours)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fail3, err := tsubame.WeibullDistFromMean(0.74, m3.MTBFHours)
+	fail3, err := dist.WeibullFromMean(0.74, m3.MTBFHours)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nSimulated vs analytic at each system's optimum (500k simulated hours):")
 	for _, row := range []struct {
 		name string
-		m    tsubame.CheckpointModel
-		d    tsubame.Distribution
+		m    sched.CheckpointModel
+		d    dist.Distribution
 	}{
 		{"Tsubame-2 (exponential)", m2, fail2},
 		{"Tsubame-3 (Weibull k=0.74)", m3, fail3},
@@ -77,7 +80,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		simulated, err := tsubame.SimulateCheckpointEfficiency(row.m, tau, row.d, 500000, 42)
+		simulated, err := sched.SimulatedEfficiency(row.m, tau, row.d, 500000, 42)
 		if err != nil {
 			log.Fatal(err)
 		}

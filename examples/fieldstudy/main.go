@@ -13,7 +13,12 @@ import (
 	"os"
 	"path/filepath"
 
-	tsubame "repro"
+	"repro/internal/core"
+	"repro/internal/failures"
+	"repro/internal/predict"
+	"repro/internal/report"
+	"repro/internal/synth"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -37,7 +42,7 @@ func main() {
 	}
 
 	// Stage 1: collect the "field data".
-	t2, t3, err := tsubame.GenerateBoth(*seed)
+	t2, t3, err := synth.GenerateBoth(*seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,16 +66,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cmp, err := tsubame.Compare(t2Back, t3Back)
+	cmp, err := core.Compare(t2Back, t3Back)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Stage 3: regenerate the paper.
-	fmt.Print(tsubame.RenderFullReport(cmp))
+	fmt.Print(report.FullReport(cmp))
 
 	// Stage 4: the predictors the paper's implications call for.
-	ev, err := tsubame.EvaluateLocalityPredictor(t2Back, 72)
+	ev, err := predict.EvaluateLocality(t2Back, 72)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,23 +84,23 @@ func main() {
 		100*ev.Recall(), 100*ev.AlarmFraction(), ev.Lift())
 }
 
-func writeCSV(path string, l *tsubame.Log) error {
+func writeCSV(path string, l *failures.Log) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tsubame.WriteCSV(f, l); err != nil {
+	if err := trace.WriteCSV(f, l); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
 }
 
-func readCSV(path string) (*tsubame.Log, error) {
+func readCSV(path string) (*failures.Log, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return tsubame.ReadCSV(f)
+	return trace.ReadCSV(f)
 }

@@ -9,23 +9,27 @@ import (
 	"fmt"
 	"log"
 
-	tsubame "repro"
 	"repro/internal/cost"
+	"repro/internal/failures"
+	"repro/internal/predict"
 	"repro/internal/sim"
+	"repro/internal/spares"
+	"repro/internal/synth"
+	"repro/internal/system"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	failureLog, err := tsubame.GenerateLog(tsubame.Tsubame2, 42)
+	failureLog, err := synth.GenerateSystem(failures.Tsubame2, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
-	procs, err := tsubame.FitProcesses(failureLog, 10)
+	procs, err := sim.ProcessesFromLog(failureLog, 10)
 	if err != nil {
 		log.Fatal(err)
 	}
-	machine, err := tsubame.MachineFor(tsubame.Tsubame2)
+	machine, err := system.ForSystem(failures.Tsubame2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,10 +39,16 @@ func main() {
 		parts func() (sim.PartsPolicy, error)
 	}
 	scenarios := []scenario{
-		{"unlimited on-site stock", func() (sim.PartsPolicy, error) { return tsubame.UnlimitedSpares(), nil }},
-		{"one spare, 72h lead", func() (sim.PartsPolicy, error) { return tsubame.FixedSpares(1, 72) }},
-		{"no spares, 72h lead", func() (sim.PartsPolicy, error) { return tsubame.FixedSpares(0, 72) }},
-		{"predictive (EWMA-staged)", func() (sim.PartsPolicy, error) { return tsubame.PredictiveSpares(0.3, 72, 1.5) }},
+		{"unlimited on-site stock", func() (sim.PartsPolicy, error) { return spares.Unlimited{}, nil }},
+		{"one spare, 72h lead", func() (sim.PartsPolicy, error) { return spares.NewFixedStock(1, 72) }},
+		{"no spares, 72h lead", func() (sim.PartsPolicy, error) { return spares.NewFixedStock(0, 72) }},
+		{"predictive (EWMA-staged)", func() (sim.PartsPolicy, error) {
+			rate, err := predict.NewEWMARate(0.3)
+			if err != nil {
+				return nil, err
+			}
+			return spares.NewPredictive(rate, 72, 1.5)
+		}},
 	}
 
 	fmt.Println("Spare-provisioning what-if: Tsubame-2 fitted processes, 8760 simulated hours, 8 crews.")
@@ -48,7 +58,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := tsubame.RunSimulation(tsubame.SimConfig{
+		res, err := sim.Run(sim.Config{
 			Nodes:        machine.Nodes,
 			GPUsPerNode:  machine.Node.NumGPUs,
 			HorizonHours: 8760,
@@ -66,7 +76,7 @@ func main() {
 	fmt.Println("\nCrew sizing under unlimited spares (queueing is the other MTTR lever):")
 	fmt.Printf("%-8s %12s %14s %11s\n", "crews", "availability", "mean wait (h)", "peak queue")
 	for _, crews := range []int{2, 4, 8, 16, 0} {
-		res, err := tsubame.RunSimulation(tsubame.SimConfig{
+		res, err := sim.Run(sim.Config{
 			Nodes:        machine.Nodes,
 			GPUsPerNode:  machine.Node.NumGPUs,
 			HorizonHours: 8760,
@@ -86,7 +96,7 @@ func main() {
 
 	// The paper's closing point: "maintaining balance is the key". Price
 	// downtime against inventory holding and find the cost-optimal stock.
-	points, optimal, err := tsubame.CostSweep(cost.SweepConfig{
+	points, optimal, err := cost.Sweep(cost.SweepConfig{
 		Nodes:         machine.Nodes,
 		GPUsPerNode:   machine.Node.NumGPUs,
 		Processes:     procs,
@@ -94,7 +104,7 @@ func main() {
 		Seed:          1,
 		LeadTimeHours: 120,
 		Stocks:        []int{0, 1, 2, 4, 8, 16, 32},
-		Prices:        tsubame.CostPrices{DowntimePerNodeHour: 100, HoldingPerPartYear: 5000},
+		Prices:        cost.Prices{DowntimePerNodeHour: 100, HoldingPerPartYear: 5000},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"log"
 
-	tsubame "repro"
+	"repro/internal/core"
+	"repro/internal/report"
+	"repro/internal/synth"
 )
 
 func main() {
@@ -15,13 +17,13 @@ func main() {
 
 	// Every log is deterministic in its seed: rerunning reproduces the
 	// identical records and therefore identical figures.
-	t2, t3, err := tsubame.GenerateBoth(42)
+	t2, t3, err := synth.GenerateBoth(42)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("Generated %d Tsubame-2 failures and %d Tsubame-3 failures.\n\n", t2.Len(), t3.Len())
 
-	cmp, err := tsubame.Compare(t2, t3)
+	cmp, err := core.Compare(t2, t3)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,10 +38,10 @@ func main() {
 	fmt.Printf("4. Useful work per failure-free period grew %.1fx (performance-error-proportionality).\n\n",
 		cmp.PEPRatio)
 
-	fmt.Print(tsubame.RenderSummary(cmp))
+	fmt.Print(report.Summary(cmp))
 }
 
-func topShare(s *tsubame.Study) float64 {
+func topShare(s *core.Study) float64 {
 	if len(s.Breakdown) == 0 {
 		return 0
 	}

@@ -9,40 +9,44 @@ import (
 	"fmt"
 	"log"
 
-	tsubame "repro"
+	"repro/internal/core"
+	"repro/internal/failures"
+	"repro/internal/predict"
+	"repro/internal/report"
+	"repro/internal/synth"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	t2, t3, err := tsubame.GenerateBoth(42)
+	t2, t3, err := synth.GenerateBoth(42)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cmp, err := tsubame.Compare(t2, t3)
+	cmp, err := core.Compare(t2, t3)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Print(tsubame.RenderSurvival(cmp))
+	fmt.Print(report.SurvivalTable(cmp.Old, cmp.New))
 	fmt.Println()
-	fmt.Print(tsubame.RenderSpatial(cmp.Old))
+	fmt.Print(report.SpatialTable(cmp.Old))
 	fmt.Println()
-	fmt.Print(tsubame.RenderSpatial(cmp.New))
+	fmt.Print(report.SpatialTable(cmp.New))
 	fmt.Println()
 
 	for _, entry := range []struct {
 		name string
-		l    *tsubame.Log
+		l    *failures.Log
 	}{
 		{"Tsubame-2", t2},
 		{"Tsubame-3", t3},
 	} {
-		series, err := tsubame.RollingMTBF(entry.l, 90, 45)
+		series, err := core.RollingMTBF(entry.l, 90, 45)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Print(tsubame.RenderRollingMTBF(
+		fmt.Print(report.RollingChart(
 			fmt.Sprintf("Rolling 90-day MTBF on %s (extension).", entry.name), series))
 		fmt.Println()
 	}
@@ -58,7 +62,7 @@ func main() {
 	// form of "leveraging failure prediction"): a leakage-free back-test
 	// of rolling distribution fits.
 	for _, level := range []float64{0.5, 0.8, 0.9} {
-		ev, err := tsubame.EvaluatePredictionIntervals(t2, level)
+		ev, err := predict.EvaluateIntervals(t2, level)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,33 +11,35 @@ import (
 	"fmt"
 	"log"
 
-	tsubame "repro"
+	"repro/internal/core"
+	"repro/internal/failures"
+	"repro/internal/synth"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	actual, err := tsubame.GenerateLog(tsubame.Tsubame3, 42)
+	actual, err := synth.GenerateSystem(failures.Tsubame3, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Counterfactual calibration: Tsubame-2's involvement mix (extended
 	// with a 4-GPU tail) and its stronger temporal clustering.
-	profile := tsubame.Tsubame3Profile()
+	profile := synth.Tsubame3Profile()
 	profile.Name = "tsubame3-no-health-tests"
 	profile.GPUInvolvementPMF = []float64{0.3044, 0.3478, 0.2478, 0.10}
 	profile.ClusterFraction = 0.55
-	counterfactual, err := tsubame.GenerateFromProfile(profile, 42)
+	counterfactual, err := synth.Generate(profile, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	actualStudy, err := tsubame.Analyze(actual)
+	actualStudy, err := core.NewStudy(actual)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfStudy, err := tsubame.Analyze(counterfactual)
+	cfStudy, err := core.NewStudy(counterfactual)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func main() {
 	fmt.Println("are what keep a multi-GPU node from failing as a unit.")
 }
 
-func multiPercent(s *tsubame.Study) float64 {
+func multiPercent(s *core.Study) float64 {
 	var p float64
 	for _, row := range s.Involvement {
 		if row.GPUs >= 2 {
@@ -79,7 +81,7 @@ func multiPercent(s *tsubame.Study) float64 {
 	return p
 }
 
-func involvementCount(s *tsubame.Study, gpus int) int {
+func involvementCount(s *core.Study, gpus int) int {
 	for _, row := range s.Involvement {
 		if row.GPUs == gpus {
 			return row.Count
@@ -90,7 +92,7 @@ func involvementCount(s *tsubame.Study, gpus int) int {
 
 // meanInvolvement is the expected cards (and, on a fully co-located node,
 // jobs) hit per GPU failure.
-func meanInvolvement(s *tsubame.Study) float64 {
+func meanInvolvement(s *core.Study) float64 {
 	var total, events float64
 	for _, row := range s.Involvement {
 		total += float64(row.GPUs * row.Count)

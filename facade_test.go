@@ -5,57 +5,63 @@ import (
 	"strings"
 	"testing"
 
-	tsubame "repro"
+	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/failures"
+	"repro/internal/predict"
+	"repro/internal/report"
+	"repro/internal/sim"
+	"repro/internal/spares"
+	"repro/internal/synth"
 )
 
-// TestFacadeExtensionsEndToEnd drives every extension entry point of the
-// public API on one dataset.
+// TestFacadeExtensionsEndToEnd drives the extension analyses, renderers
+// and simulators on one dataset.
 func TestFacadeExtensionsEndToEnd(t *testing.T) {
-	t2, t3, err := tsubame.GenerateBoth(42)
+	t2, t3, err := synth.GenerateBoth(42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := tsubame.Compare(t2, t3)
+	cmp, err := core.Compare(t2, t3)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Rendering surface.
-	if !strings.Contains(tsubame.RenderSummary(cmp), "MTBF improvement") {
+	if !strings.Contains(report.Summary(cmp), "MTBF improvement") {
 		t.Error("summary rendering broken")
 	}
-	if !strings.Contains(tsubame.RenderSpatial(cmp.Old), "rack Gini") {
+	if !strings.Contains(report.SpatialTable(cmp.Old), "rack Gini") {
 		t.Error("spatial rendering broken")
 	}
-	if !strings.Contains(tsubame.RenderSurvival(cmp), "card survival") {
+	if !strings.Contains(report.SurvivalTable(cmp.Old, cmp.New), "card survival") {
 		t.Error("survival rendering broken")
 	}
-	if !strings.Contains(tsubame.RenderDrift(cmp), "drift") {
+	if !strings.Contains(report.DriftTable(cmp), "drift") {
 		t.Error("drift rendering broken")
 	}
-	if !strings.Contains(tsubame.RenderMarkdownReport(cmp), "# Failure and repair study") {
+	if !strings.Contains(report.MarkdownReport(cmp), "# Failure and repair study") {
 		t.Error("markdown rendering broken")
 	}
 
 	// Rolling reliability.
-	series, err := tsubame.RollingMTBF(t2, 90, 45)
+	series, err := core.RollingMTBF(t2, 90, 45)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trend, err := tsubame.MTBFTrend(series)
+	trend, err := core.MTBFTrend(series)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if trend < 0.5 || trend > 2 {
 		t.Errorf("stationary log trend = %v, want near 1", trend)
 	}
-	if !strings.Contains(tsubame.RenderRollingMTBF("R.", series), "R.") {
+	if !strings.Contains(report.RollingChart("R.", series), "R.") {
 		t.Error("rolling rendering broken")
 	}
 
 	// Prediction intervals.
-	ev, err := tsubame.EvaluatePredictionIntervals(t2, 0.8)
+	ev, err := predict.EvaluateIntervals(t2, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,32 +69,15 @@ func TestFacadeExtensionsEndToEnd(t *testing.T) {
 		t.Errorf("interval coverage = %v at nominal 0.8", cov)
 	}
 
-	// Workload attribution.
-	capacity, err := tsubame.WorkloadCapacity(t2, 1408, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traceMix, err := tsubame.GenerateWorkloadTrace(25, capacity, 1.0, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	att, err := tsubame.AttributeFailures(t2, traceMix, nil, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if att.P < 0.001 {
-		t.Errorf("null attribution rejected: p = %v", att.P)
-	}
-
 	// Cost sweep.
-	procs, err := tsubame.FitProcesses(t2, 10)
+	procs, err := sim.ProcessesFromLog(t2, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, optimal, err := tsubame.CostSweep(cost.SweepConfig{
+	points, optimal, err := cost.Sweep(cost.SweepConfig{
 		Nodes: 1408, GPUsPerNode: 3, Processes: procs, HorizonHours: 2000,
 		Seed: 1, LeadTimeHours: 120, Stocks: []int{0, 2},
-		Prices: tsubame.CostPrices{DowntimePerNodeHour: 100, HoldingPerPartYear: 5000},
+		Prices: cost.Prices{DowntimePerNodeHour: 100, HoldingPerPartYear: 5000},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,10 +86,10 @@ func TestFacadeExtensionsEndToEnd(t *testing.T) {
 		t.Errorf("cost sweep = %v, optimal %d", points, optimal)
 	}
 
-	// Unlimited spares policy through the facade.
-	res, err := tsubame.RunSimulation(tsubame.SimConfig{
+	// Unlimited spares policy.
+	res, err := sim.Run(sim.Config{
 		Nodes: 100, GPUsPerNode: 3, HorizonHours: 1000,
-		Processes: procs, Parts: tsubame.UnlimitedSpares(), Seed: 1,
+		Processes: procs, Parts: spares.Unlimited{}, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,18 +102,18 @@ func TestFacadeExtensionsEndToEnd(t *testing.T) {
 // TestFacadeProfilesAndAnonymize drives the profile IO and anonymization
 // entry points.
 func TestFacadeProfilesAndAnonymize(t *testing.T) {
-	p, err := tsubame.ProfileForSystem(tsubame.Tsubame3)
+	p, err := synth.ProfileFor(failures.Tsubame3)
 	if err != nil || p.Name != "tsubame3" {
 		t.Fatalf("ProfileForSystem = %v, %v", p, err)
 	}
-	if tsubame.Tsubame3Profile().TotalFailures() != p.TotalFailures() {
+	if synth.Tsubame3Profile().TotalFailures() != p.TotalFailures() {
 		t.Error("profile getters disagree")
 	}
 	var buf bytes.Buffer
-	if err := tsubame.WriteProfile(&buf, p); err != nil {
+	if err := synth.WriteProfile(&buf, p); err != nil {
 		t.Fatal(err)
 	}
-	back, err := tsubame.ReadProfile(&buf)
+	back, err := synth.ReadProfile(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +121,11 @@ func TestFacadeProfilesAndAnonymize(t *testing.T) {
 		t.Error("profile round trip changed totals")
 	}
 
-	log, err := tsubame.GenerateFromProfile(back, 5)
+	log, err := synth.Generate(back, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	anon, err := tsubame.AnonymizeLog(log, tsubame.AnonymizeOptions{Key: "k", DropSoftwareCauses: true})
+	anon, err := failures.Anonymize(log, failures.AnonymizeOptions{Key: "k", DropSoftwareCauses: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,12 +141,12 @@ func TestFacadeProfilesAndAnonymize(t *testing.T) {
 
 // TestFacadePeriodDiff drives the period-diff entry point.
 func TestFacadePeriodDiff(t *testing.T) {
-	t2, _, err := tsubame.GenerateBoth(42)
+	t2, _, err := synth.GenerateBoth(42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before, after := t2.SplitFraction(0.5)
-	d, err := tsubame.DiffPeriods(before, after)
+	d, err := core.DiffPeriods(before, after)
 	if err != nil {
 		t.Fatal(err)
 	}

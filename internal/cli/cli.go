@@ -166,11 +166,7 @@ func LoadLog(path, systemName string, seed int64) (*failures.Log, error) {
 		if err != nil {
 			return nil, err
 		}
-		profile, err := synth.ProfileFor(sys)
-		if err != nil {
-			return nil, err
-		}
-		return synth.Generate(profile, seed)
+		return synth.GenerateSystem(sys, seed)
 	}
 	return LoadLogFile(path)
 }

@@ -80,6 +80,14 @@ func RequiredString(name, v string) error {
 	return nil
 }
 
+// KnownSystem requires a system name ParseSystem accepts (-system).
+func KnownSystem(name, v string) error {
+	if _, err := ParseSystem(v); err != nil {
+		return fmt.Errorf("-%s: %w", name, err)
+	}
+	return nil
+}
+
 // FirstError returns the first non-nil error, the combining step of a
 // flag-validation batch.
 func FirstError(errs ...error) error {

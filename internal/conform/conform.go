@@ -184,13 +184,13 @@ func (s *Spec) Checks() []*Check { return s.checks }
 
 // checkState is the runtime accumulator of one check across seeds.
 type checkState struct {
-	check   *Check
-	mu      sync.Mutex
-	seeds   int
-	fails   int
-	statSum float64
+	check     *Check
+	mu        sync.Mutex
+	seeds     int
+	fails     int
+	statSum   float64
 	firstFail Outcome
-	pool    poolState
+	pool      poolState
 }
 
 func (cs *checkState) observe(ev *seedEval, alpha float64) {

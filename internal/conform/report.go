@@ -24,16 +24,16 @@ type Report struct {
 
 // CheckResult is one check's row in the report.
 type CheckResult struct {
-	Name        string  `json:"name"`
-	Kind        Kind    `json:"kind"`
-	Anchor      string  `json:"anchor"`
-	Description string  `json:"description"`
-	Tolerance   string  `json:"tolerance"`
-	Pass        bool    `json:"pass"`
+	Name        string   `json:"name"`
+	Kind        Kind     `json:"kind"`
+	Anchor      string   `json:"anchor"`
+	Description string   `json:"description"`
+	Tolerance   string   `json:"tolerance"`
+	Pass        bool     `json:"pass"`
 	Stat        *float64 `json:"stat,omitempty"`
 	P           *float64 `json:"p,omitempty"`
-	Seeds       int     `json:"seeds,omitempty"`
-	FailedSeeds int     `json:"failed_seeds,omitempty"`
+	Seeds       int      `json:"seeds,omitempty"`
+	FailedSeeds int      `json:"failed_seeds,omitempty"`
 	// AllowedFailures is the binomial seed-failure budget of test checks.
 	AllowedFailures int    `json:"allowed_failures,omitempty"`
 	Detail          string `json:"detail,omitempty"`

@@ -60,12 +60,12 @@ func anchoredT2() *synth.Profile {
 		NodeCountPMF: map[int]float64{
 			1: 0.60, 2: 0.10, 3: 0.12, 4: 0.08, 5: 0.06, 6: 0.04,
 		},
-		SoftwareOnMultiNodes: 1,
-		GPUSlotWeights:       []float64{1.0, 1.8, 1.0},
-		GPUInvolvementPMF:    []float64{0.3044, 0.3478, 0.3478},
-		ClusterFraction:      0.55,
-		ClusterWindowHours:   48,
-		MonthlyCountWeights:  [12]float64{1.05, 0.90, 1.00, 0.95, 1.05, 1.20, 1.30, 1.25, 1.00, 0.90, 0.85, 0.95},
+		SoftwareOnMultiNodes:  1,
+		GPUSlotWeights:        []float64{1.0, 1.8, 1.0},
+		GPUInvolvementPMF:     []float64{0.3044, 0.3478, 0.3478},
+		ClusterFraction:       0.55,
+		ClusterWindowHours:    48,
+		MonthlyCountWeights:   [12]float64{1.05, 0.90, 1.00, 0.95, 1.05, 1.20, 1.30, 1.25, 1.00, 0.90, 0.85, 0.95},
 		MonthlyTTRMultipliers: [12]float64{0.85, 0.85, 0.90, 0.95, 1.00, 1.00, 1.10, 1.15, 1.20, 1.15, 1.10, 1.05},
 	}
 }
@@ -125,12 +125,12 @@ func anchoredT3() *synth.Profile {
 		NodeCountPMF: map[int]float64{
 			1: 0.40, 2: 0.10, 3: 0.18, 4: 0.14, 5: 0.10, 6: 0.08,
 		},
-		SoftwareOnMultiNodes: 95,
-		GPUSlotWeights:       []float64{1.50, 0.75, 0.75, 1.50},
-		GPUInvolvementPMF:    []float64{0.926, 0.0495, 0.0245, 0},
-		ClusterFraction:      0.50,
-		ClusterWindowHours:   72,
-		MonthlyCountWeights:  [12]float64{0.95, 1.00, 1.10, 1.05, 1.20, 1.00, 0.90, 0.95, 1.00, 1.10, 0.85, 0.90},
+		SoftwareOnMultiNodes:  95,
+		GPUSlotWeights:        []float64{1.50, 0.75, 0.75, 1.50},
+		GPUInvolvementPMF:     []float64{0.926, 0.0495, 0.0245, 0},
+		ClusterFraction:       0.50,
+		ClusterWindowHours:    72,
+		MonthlyCountWeights:   [12]float64{0.95, 1.00, 1.10, 1.05, 1.20, 1.00, 0.90, 0.95, 1.00, 1.10, 0.85, 0.90},
 		MonthlyTTRMultipliers: [12]float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1},
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/failures"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/spares"
 )
 
 // StepProfile parameterizes the remediation pipeline: one duration
@@ -246,14 +247,6 @@ const (
 	evkVerifyDone
 )
 
-// noParts is the default parts policy: no provisioning delays.
-type noParts struct{}
-
-func (noParts) Observe(failures.Category, float64) {}
-func (noParts) Acquire(failures.Category, float64) float64 {
-	return 0
-}
-
 // procRun couples a failure process with its deterministic sampling
 // stream and the pending (already scheduled, not yet fired) arrival.
 type procRun struct {
@@ -289,33 +282,6 @@ type nodeRun struct {
 	openSince float64
 }
 
-// cordonQueue is a FIFO ring of node indices waiting for a crew.
-type cordonQueue struct {
-	buf  []int32
-	head int
-}
-
-func (q *cordonQueue) push(n int32) {
-	if q.head > 64 && q.head*2 >= len(q.buf) {
-		m := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:m]
-		q.head = 0
-	}
-	q.buf = append(q.buf, n)
-}
-
-func (q *cordonQueue) pop() int32 {
-	n := q.buf[q.head]
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	return n
-}
-
-func (q *cordonQueue) len() int { return len(q.buf) - q.head }
-
 // run holds the mutable state of one simulation.
 type run struct {
 	cfg    *Config
@@ -324,7 +290,7 @@ type run struct {
 	procs  []procRun
 	nodes  []nodeRun
 	res    *Result
-	queue  cordonQueue
+	queue  sim.Ring[int32] // node indices waiting for a crew
 	free   int
 	unlim  bool
 	stepR  *rand.Rand
@@ -362,7 +328,7 @@ func Run(cfg Config) (*Result, error) {
 		alarmR: dist.Fork(cfg.Seed, "remediate/alarm"),
 	}
 	if r.parts == nil {
-		r.parts = noParts{}
+		r.parts = spares.Unlimited{}
 	}
 	for i := range r.nodes {
 		r.nodes[i].openSince = math.NaN()
@@ -421,7 +387,7 @@ func Run(cfg Config) (*Result, error) {
 func (r *run) scheduleArrival(p int32) {
 	st := &r.procs[p]
 	gap := st.proc.Interarrival.Sample(st.arrivalRNG)
-	st.pendingFirst, st.pendingCount = r.pickVictims(&st.proc, st.arrivalRNG)
+	st.pendingFirst, st.pendingCount = sim.PickVictims(&st.proc, r.cfg.Nodes, r.cfg.NodesPerRack, st.arrivalRNG)
 	st.pendingPredicted = r.predR.Float64() < r.cfg.Predictor.Accuracy
 	if st.pendingPredicted {
 		lead := gap - r.cfg.Predictor.LeadTimeHours
@@ -431,23 +397,6 @@ func (r *run) scheduleArrival(p int32) {
 		r.eng.ScheduleEvent(lead, evkPredict, p)
 	}
 	r.eng.ScheduleEvent(gap, evkArrival, p)
-}
-
-// pickVictims selects the contiguous node range a failure takes down:
-// one uniform node, or a whole rack for rack-scoped processes (the last
-// rack may be partial).
-func (r *run) pickVictims(proc *sim.FailureProcess, rng *rand.Rand) (first, count int32) {
-	if proc.Scope != sim.ScopeRack {
-		return int32(rng.Intn(r.cfg.Nodes)), 1
-	}
-	racks := (r.cfg.Nodes + r.cfg.NodesPerRack - 1) / r.cfg.NodesPerRack
-	rack := rng.Intn(racks)
-	lo := rack * r.cfg.NodesPerRack
-	hi := lo + r.cfg.NodesPerRack
-	if hi > r.cfg.Nodes {
-		hi = r.cfg.Nodes
-	}
-	return int32(lo), int32(hi - lo)
 }
 
 // scheduleFalseAlarm self-reschedules the fleet-wide Poisson stream of
@@ -611,7 +560,7 @@ func (r *run) handleCordon(n int32) {
 		return
 	}
 	r.res.Cordons++
-	r.queue.push(n)
+	r.queue.Push(n)
 	r.dispatchCrews()
 }
 
@@ -619,8 +568,8 @@ func (r *run) handleCordon(n int32) {
 // queue entries whose node has left Cordoned (it failed again and will
 // re-queue through its fresh detection cordon).
 func (r *run) dispatchCrews() {
-	for r.queue.len() > 0 && (r.unlim || r.free > 0) {
-		n := r.queue.pop()
+	for r.queue.Len() > 0 && (r.unlim || r.free > 0) {
+		n := r.queue.Pop()
 		if r.nodes[n].state != Cordoned {
 			continue
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/failures"
 	"repro/internal/obs"
 	"repro/internal/sample"
+	"repro/internal/spares"
 )
 
 // Scope is the blast radius of a failure stream.
@@ -47,14 +48,6 @@ type FailureProcess struct {
 type PartsPolicy interface {
 	Observe(cat failures.Category, now float64)
 	Acquire(cat failures.Category, now float64) (waitHours float64)
-}
-
-// alwaysAvailable is the default parts policy: no provisioning delays.
-type alwaysAvailable struct{}
-
-func (alwaysAvailable) Observe(failures.Category, float64) {}
-func (alwaysAvailable) Acquire(failures.Category, float64) float64 {
-	return 0
 }
 
 // Config parameterizes one simulation run.
@@ -336,15 +329,17 @@ func (d *downTracker) total() float64 {
 	return lost
 }
 
-// taskQueue is a FIFO ring over pooled repairTask records: the waiting-
-// for-a-crew queue. Popped slots are reused once the queue drains or the
-// dead prefix dominates, so steady-state queueing allocates nothing.
-type taskQueue struct {
-	buf  []repairTask
+// Ring is a FIFO queue over a reused buffer: the waiting-for-a-crew
+// queue of this simulator and of the remediation loop. Popped slots are
+// reused once the queue drains or the dead prefix dominates, so
+// steady-state queueing allocates nothing.
+type Ring[T any] struct {
+	buf  []T
 	head int
 }
 
-func (q *taskQueue) push(t repairTask) {
+// Push appends v at the tail.
+func (q *Ring[T]) Push(v T) {
 	// Compact when the dead prefix dominates a sizable buffer; amortized
 	// O(1) per operation.
 	if q.head > 64 && q.head*2 >= len(q.buf) {
@@ -352,23 +347,25 @@ func (q *taskQueue) push(t repairTask) {
 		q.buf = q.buf[:n]
 		q.head = 0
 	}
-	q.buf = append(q.buf, t)
+	q.buf = append(q.buf, v)
 }
 
-func (q *taskQueue) pop() repairTask {
-	t := q.buf[q.head]
+// Pop removes and returns the head; the ring must not be empty.
+func (q *Ring[T]) Pop() T {
+	v := q.buf[q.head]
 	q.head++
 	if q.head == len(q.buf) {
 		q.buf = q.buf[:0]
 		q.head = 0
 	}
-	return t
+	return v
 }
 
-func (q *taskQueue) len() int { return len(q.buf) - q.head }
+// Len is the number of queued values.
+func (q *Ring[T]) Len() int { return len(q.buf) - q.head }
 
-// pending iterates the still-queued tasks in FIFO order.
-func (q *taskQueue) pending() []repairTask { return q.buf[q.head:] }
+// Pending returns the queued values in FIFO order, aliasing the ring.
+func (q *Ring[T]) Pending() []T { return q.buf[q.head:] }
 
 // Run executes the simulation described by cfg. Runs are fully
 // deterministic in (cfg, cfg.Seed).
@@ -379,7 +376,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	parts := cfg.Parts
 	if parts == nil {
-		parts = alwaysAvailable{}
+		parts = spares.Unlimited{}
 	}
 	eng := &Engine{}
 	res := &Result{PerCategory: make(map[failures.Category]CategoryStats, len(cfg.Processes))}
@@ -403,7 +400,7 @@ func Run(cfg Config) (*Result, error) {
 
 	freeCrews := cfg.Crews
 	unlimited := cfg.Crews == 0
-	var queue taskQueue
+	var queue Ring[repairTask]
 	var totalWait, totalRestore float64
 
 	begin := func(task repairTask) {
@@ -437,8 +434,8 @@ func Run(cfg Config) (*Result, error) {
 		eng.ScheduleEvent(partWait+duration, evRepairDone, 0)
 	}
 	dispatch := func() {
-		for queue.len() > 0 && (unlimited || freeCrews > 0) {
-			task := queue.pop()
+		for queue.Len() > 0 && (unlimited || freeCrews > 0) {
+			task := queue.Pop()
 			if !unlimited {
 				freeCrews--
 			}
@@ -455,7 +452,7 @@ func Run(cfg Config) (*Result, error) {
 			st := &states[arg]
 			res.Failures++
 			st.stats.Failures++
-			first, count := pickVictims(&st.proc, &cfg, st.arrivalRNG)
+			first, count := PickVictims(&st.proc, cfg.Nodes, cfg.NodesPerRack, st.arrivalRNG)
 			cards := st.drawInvolvement()
 			parts.Observe(st.proc.Category, eng.Now())
 			discounted := false
@@ -465,9 +462,9 @@ func Run(cfg Config) (*Result, error) {
 				}
 				st.lastArrival = eng.Now()
 			}
-			queue.push(repairTask{proc: arg, firstNode: first, nodeCount: count, cards: cards, start: eng.Now(), discounted: discounted})
-			if queue.len() > res.PeakQueue {
-				res.PeakQueue = queue.len()
+			queue.Push(repairTask{proc: arg, firstNode: first, nodeCount: count, cards: cards, start: eng.Now(), discounted: discounted})
+			if queue.Len() > res.PeakQueue {
+				res.PeakQueue = queue.Len()
 			}
 			dispatch()
 			eng.ScheduleEvent(st.proc.Interarrival.Sample(st.arrivalRNG), evArrival, arg)
@@ -492,7 +489,7 @@ func Run(cfg Config) (*Result, error) {
 	lost := down.total()
 	// Tasks still waiting for a crew at the horizon have no recorded
 	// interval yet; charge their elapsed downtime per affected node.
-	for _, task := range queue.pending() {
+	for _, task := range queue.Pending() {
 		lost += (cfg.HorizonHours - task.start) * float64(task.nodeCount)
 	}
 	res.NodeHoursLost = lost
@@ -514,19 +511,20 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// pickVictims selects the nodes a failure takes down as a contiguous
-// range: one uniform node, or every node of a uniform rack for
-// rack-scoped processes.
-func pickVictims(proc *FailureProcess, cfg *Config, rng *rand.Rand) (first, count int32) {
+// PickVictims selects the nodes a failure takes down as a contiguous
+// range of a fleet of nodes: one uniform node, or every node of a
+// uniform rack for rack-scoped processes (the last rack may be partial).
+// Both simulators draw their victims through it.
+func PickVictims(proc *FailureProcess, nodes, nodesPerRack int, rng *rand.Rand) (first, count int32) {
 	if proc.Scope != ScopeRack {
-		return int32(rng.Intn(cfg.Nodes)), 1
+		return int32(rng.Intn(nodes)), 1
 	}
-	racks := (cfg.Nodes + cfg.NodesPerRack - 1) / cfg.NodesPerRack
+	racks := (nodes + nodesPerRack - 1) / nodesPerRack
 	rack := rng.Intn(racks)
-	lo := rack * cfg.NodesPerRack
-	hi := lo + cfg.NodesPerRack
-	if hi > cfg.Nodes {
-		hi = cfg.Nodes
+	lo := rack * nodesPerRack
+	hi := lo + nodesPerRack
+	if hi > nodes {
+		hi = nodes
 	}
 	return int32(lo), int32(hi - lo)
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/failures"
 )
 
-// pickVictims is the blast-radius hot path the remediation loop and the
+// PickVictims is the blast-radius hot path the remediation loop and the
 // fleet simulator both lean on; these tests pin its boundary behavior:
 // node-scoped picks cover the first and last node, rack-scoped picks
 // stay in bounds, and the trailing partial rack clamps its count to the
@@ -31,7 +31,7 @@ func TestPickVictimsNodeScopeBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	seen := make(map[int32]bool)
 	for i := 0; i < 2000; i++ {
-		first, count := pickVictims(&proc, &cfg, rng)
+		first, count := PickVictims(&proc, cfg.Nodes, cfg.NodesPerRack, rng)
 		if count != 1 {
 			t.Fatalf("node scope count %d, want 1", count)
 		}
@@ -53,7 +53,7 @@ func TestPickVictimsSingleNodeFleet(t *testing.T) {
 	for _, scope := range []Scope{ScopeNode, ScopeRack} {
 		proc := victimProcess(t, scope)
 		for i := 0; i < 50; i++ {
-			first, count := pickVictims(&proc, &cfg, rng)
+			first, count := PickVictims(&proc, cfg.Nodes, cfg.NodesPerRack, rng)
 			if first != 0 {
 				t.Fatalf("scope %d: first %d, want 0", scope, first)
 			}
@@ -74,7 +74,7 @@ func TestPickVictimsRackClampAtFleetEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sawPartial := false
 	for i := 0; i < 2000; i++ {
-		first, count := pickVictims(&proc, &cfg, rng)
+		first, count := PickVictims(&proc, cfg.Nodes, cfg.NodesPerRack, rng)
 		if first%int32(cfg.NodesPerRack) != 0 {
 			t.Fatalf("rack start %d off the rack grid", first)
 		}
@@ -108,7 +108,7 @@ func TestPickVictimsExactRackDivision(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	lastRackSeen := false
 	for i := 0; i < 1000; i++ {
-		first, count := pickVictims(&proc, &cfg, rng)
+		first, count := PickVictims(&proc, cfg.Nodes, cfg.NodesPerRack, rng)
 		if count != 4 {
 			t.Fatalf("rack at %d has count %d, want full 4", first, count)
 		}
@@ -128,7 +128,7 @@ func TestPickVictimsRackWiderThanFleet(t *testing.T) {
 	proc := victimProcess(t, ScopeRack)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 50; i++ {
-		first, count := pickVictims(&proc, &cfg, rng)
+		first, count := PickVictims(&proc, cfg.Nodes, cfg.NodesPerRack, rng)
 		if first != 0 || count != int32(cfg.Nodes) {
 			t.Fatalf("oversized rack pick [%d, %d), want [0, %d)", first, first+count, cfg.Nodes)
 		}

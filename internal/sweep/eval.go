@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/cli"
-	"repro/internal/failures"
 	"repro/internal/remediate"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -151,7 +150,7 @@ func NewEvaluator(p Params, systemNames []string) (*Evaluator, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sweep: %w", err)
 		}
-		log, err := synth.Generate(profileFor(sys), p.LogSeed)
+		log, err := synth.GenerateSystem(sys, p.LogSeed)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: generating %s log: %w", name, err)
 		}
@@ -166,13 +165,6 @@ func NewEvaluator(p Params, systemNames []string) (*Evaluator, error) {
 		ev.systems[name] = systemModel{procs: procs, machine: machine}
 	}
 	return ev, nil
-}
-
-func profileFor(sys failures.System) *synth.Profile {
-	if sys == failures.Tsubame3 {
-		return synth.Tsubame3Profile()
-	}
-	return synth.Tsubame2Profile()
 }
 
 // Run evaluates one cell. Results are deterministic in the cell alone:

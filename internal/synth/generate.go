@@ -92,6 +92,16 @@ func GenerateEach(ctx context.Context, p *Profile, seeds []int64, parallelism in
 	})
 }
 
+// GenerateSystem produces the calibrated synthetic log of one system
+// from its built-in profile.
+func GenerateSystem(sys failures.System, seed int64) (*failures.Log, error) {
+	p, err := ProfileFor(sys)
+	if err != nil {
+		return nil, err
+	}
+	return Generate(p, seed)
+}
+
 // GenerateBoth produces the Tsubame-2 and Tsubame-3 logs with one seed,
 // the common entry point of the paper-reproduction pipeline.
 func GenerateBoth(seed int64) (t2, t3 *failures.Log, err error) {

@@ -116,6 +116,12 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+func TestGenerateSystemUnknown(t *testing.T) {
+	if _, err := GenerateSystem(failures.System(0), 1); err == nil {
+		t.Error("GenerateSystem of an unknown system should fail")
+	}
+}
+
 func TestGenerateWindowAndCount(t *testing.T) {
 	for _, p := range []*Profile{Tsubame2Profile(), Tsubame3Profile()} {
 		log, err := Generate(p, testSeed)

@@ -21,13 +21,9 @@ import (
 // are reproducible across packages.
 func MustGenerate(tb testing.TB, sys failures.System, seed int64) *failures.Log {
 	tb.Helper()
-	p, err := synth.ProfileFor(sys)
+	log, err := synth.GenerateSystem(sys, seed)
 	if err != nil {
-		tb.Fatalf("testutil: ProfileFor(%v): %v", sys, err)
-	}
-	log, err := synth.Generate(p, seed)
-	if err != nil {
-		tb.Fatalf("testutil: Generate(%v, %d): %v", sys, seed, err)
+		tb.Fatalf("testutil: GenerateSystem(%v, %d): %v", sys, seed, err)
 	}
 	return log
 }

@@ -1,13 +1,18 @@
 package tsubame_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
-	tsubame "repro"
 	"repro/internal/core"
+	"repro/internal/failures"
+	"repro/internal/report"
+	"repro/internal/sim"
+	"repro/internal/spares"
+	"repro/internal/synth"
 )
 
 // TestParallelReportByteIdentical is the end-to-end determinism golden:
@@ -15,26 +20,26 @@ import (
 // from a parallel analysis is byte-identical to the sequential one, on
 // both the Tsubame-2 and Tsubame-3 synthetic traces.
 func TestParallelReportByteIdentical(t *testing.T) {
-	t2, t3, err := tsubame.GenerateBoth(42)
+	t2, t3, err := synth.GenerateBoth(42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := tsubame.Compare(t2, t3)
+	seq, err := core.Compare(t2, t3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, width := range []int{0, 2, 4, 8} {
-		par, err := tsubame.CompareParallel(t2, t3, width)
+		par, err := core.CompareParallel(t2, t3, core.Options{Parallelism: width})
 		if err != nil {
 			t.Fatalf("width %d: %v", width, err)
 		}
 		if !reflect.DeepEqual(seq, par) {
 			t.Errorf("width %d: comparison structure diverged from sequential", width)
 		}
-		if a, b := tsubame.RenderFullReport(seq), tsubame.RenderFullReport(par); a != b {
+		if a, b := report.FullReport(seq), report.FullReport(par); a != b {
 			t.Errorf("width %d: full report not byte-identical (%d vs %d bytes)", width, len(a), len(b))
 		}
-		if a, b := tsubame.RenderMarkdownReport(seq), tsubame.RenderMarkdownReport(par); a != b {
+		if a, b := report.MarkdownReport(seq), report.MarkdownReport(par); a != b {
 			t.Errorf("width %d: markdown report not byte-identical", width)
 		}
 	}
@@ -48,11 +53,11 @@ func TestParallelReportByteIdentical(t *testing.T) {
 // are regenerated (go test ./internal/report/ -run Golden -update)
 // whenever the generator's sampling realization intentionally changes.
 func TestIndexedRunMatchesPreIndexGolden(t *testing.T) {
-	t2, t3, err := tsubame.GenerateBoth(42)
+	t2, t3, err := synth.GenerateBoth(42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := tsubame.Compare(t2, t3)
+	cmp, err := core.Compare(t2, t3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +65,14 @@ func TestIndexedRunMatchesPreIndexGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tsubame.RenderFullReport(cmp); got != string(want) {
+	if got := report.FullReport(cmp); got != string(want) {
 		t.Errorf("indexed full report diverged from the pre-index golden (%d vs %d bytes)", len(got), len(want))
 	}
 	wantMD, err := os.ReadFile(filepath.Join("internal", "report", "testdata", "markdown_report_seed42.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tsubame.RenderMarkdownReport(cmp); got != string(wantMD) {
+	if got := report.MarkdownReport(cmp); got != string(wantMD) {
 		t.Errorf("indexed markdown report diverged from the pre-index golden")
 	}
 }
@@ -77,12 +82,12 @@ func TestIndexedRunMatchesPreIndexGolden(t *testing.T) {
 // the Study fields produced by Run's shared index: sharing one view
 // across phases must never change a result.
 func TestStandaloneAnalysesMatchSharedIndex(t *testing.T) {
-	t2, t3, err := tsubame.GenerateBoth(42)
+	t2, t3, err := synth.GenerateBoth(42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, log := range []*tsubame.Log{t2, t3} {
-		study, err := tsubame.AnalyzeParallel(log, 0)
+	for _, log := range []*failures.Log{t2, t3} {
+		study, err := core.Run(log, core.Options{Parallelism: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,16 +118,16 @@ func TestStandaloneAnalysesMatchSharedIndex(t *testing.T) {
 // TestAnalyzeParallelMatchesAnalyze pins the single-study entry point on
 // both generations.
 func TestAnalyzeParallelMatchesAnalyze(t *testing.T) {
-	t2, t3, err := tsubame.GenerateBoth(42)
+	t2, t3, err := synth.GenerateBoth(42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, log := range []*tsubame.Log{t2, t3} {
-		seq, err := tsubame.Analyze(log)
+	for _, log := range []*failures.Log{t2, t3} {
+		seq, err := core.NewStudy(log)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := tsubame.AnalyzeParallel(log, 6)
+		par, err := core.Run(log, core.Options{Parallelism: 6})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,9 +140,9 @@ func TestAnalyzeParallelMatchesAnalyze(t *testing.T) {
 // TestGenerateManyMatchesSequential: multi-seed generation must be pure
 // in (profile, seed) regardless of pool width.
 func TestGenerateManyMatchesSequential(t *testing.T) {
-	p := tsubame.Tsubame2Profile()
+	p := synth.Tsubame2Profile()
 	seeds := []int64{1, 2, 3, 4, 5, 6}
-	par, err := tsubame.GenerateMany(p, seeds, 4)
+	par, err := synth.GenerateMany(p, seeds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +150,7 @@ func TestGenerateManyMatchesSequential(t *testing.T) {
 		t.Fatalf("got %d logs, want %d", len(par), len(seeds))
 	}
 	for i, seed := range seeds {
-		seq, err := tsubame.GenerateFromProfile(p, seed)
+		seq, err := synth.Generate(p, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,21 +164,21 @@ func TestGenerateManyMatchesSequential(t *testing.T) {
 // byte-identical to a lone sequential run with the same seed, including
 // under a stateful per-trial parts policy.
 func TestSimulationTrialsMatchSequential(t *testing.T) {
-	t2, _, err := tsubame.GenerateBoth(42)
+	t2, _, err := synth.GenerateBoth(42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	procs, err := tsubame.FitProcesses(t2, 10)
+	procs, err := sim.ProcessesFromLog(t2, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := tsubame.SimConfig{
+	cfg := sim.Config{
 		Nodes: 256, GPUsPerNode: 3, HorizonHours: 2000,
 		Processes: procs, Crews: 4,
 	}
-	parts := func() (tsubame.PartsPolicy, error) { return tsubame.FixedSpares(1, 72) }
+	parts := func() (sim.PartsPolicy, error) { return spares.NewFixedStock(1, 72) }
 	seeds := []int64{7, 8, 9, 10}
-	par, err := tsubame.RunSimulationTrials(cfg, seeds, 4, parts)
+	par, err := sim.RunTrials(context.Background(), cfg, seeds, 4, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +190,7 @@ func TestSimulationTrialsMatchSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		trial.Parts = p
-		seq, err := tsubame.RunSimulation(trial)
+		seq, err := sim.Run(trial)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +198,7 @@ func TestSimulationTrialsMatchSequential(t *testing.T) {
 			t.Errorf("seed %d: parallel trial diverged from sequential", seed)
 		}
 	}
-	st, err := tsubame.SummarizeSimulationTrials(par)
+	st, err := sim.SummarizeTrials(par)
 	if err != nil {
 		t.Fatal(err)
 	}

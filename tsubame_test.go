@@ -5,37 +5,47 @@ import (
 	"strings"
 	"testing"
 
-	tsubame "repro"
+	"repro/internal/core"
+	"repro/internal/dist"
+	"repro/internal/failures"
+	"repro/internal/predict"
+	"repro/internal/report"
+	"repro/internal/sched"
+	"repro/internal/sim"
+	"repro/internal/spares"
+	"repro/internal/synth"
+	"repro/internal/system"
+	"repro/internal/trace"
 )
 
 // TestEndToEndReproduction is the integration test of the whole pipeline:
 // generate -> serialize -> parse -> analyze -> compare -> render, checking
 // the paper's headline claims hold through every layer.
 func TestEndToEndReproduction(t *testing.T) {
-	t2, t3, err := tsubame.GenerateBoth(42)
+	t2, t3, err := synth.GenerateBoth(42)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Round-trip both logs through the CSV schema.
 	var buf bytes.Buffer
-	if err := tsubame.WriteCSV(&buf, t2); err != nil {
+	if err := trace.WriteCSV(&buf, t2); err != nil {
 		t.Fatal(err)
 	}
-	t2back, err := tsubame.ReadCSV(&buf)
+	t2back, err := trace.ReadCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := tsubame.WriteNDJSON(&buf, t3); err != nil {
+	if err := trace.WriteNDJSON(&buf, t3); err != nil {
 		t.Fatal(err)
 	}
-	t3back, err := tsubame.ReadNDJSON(&buf)
+	t3back, err := trace.ReadNDJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cmp, err := tsubame.Compare(t2back, t3back)
+	cmp, err := core.Compare(t2back, t3back)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +56,7 @@ func TestEndToEndReproduction(t *testing.T) {
 		t.Errorf("MTTR ratio = %.2f, want ~1", cmp.MTTRRatio)
 	}
 
-	rendered := tsubame.RenderFullReport(cmp)
+	rendered := report.FullReport(cmp)
 	for _, want := range []string{
 		"Table I.", "Table II.", "Table III.",
 		"Figure 2.", "Figure 3.", "Figure 4.", "Figure 5.", "Figure 6.",
@@ -61,24 +71,21 @@ func TestEndToEndReproduction(t *testing.T) {
 }
 
 func TestGenerateLogPerSystem(t *testing.T) {
-	for _, sys := range []tsubame.System{tsubame.Tsubame2, tsubame.Tsubame3} {
-		log, err := tsubame.GenerateLog(sys, 1)
+	for _, sys := range []failures.System{failures.Tsubame2, failures.Tsubame3} {
+		log, err := synth.GenerateSystem(sys, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if log.System() != sys {
-			t.Errorf("GenerateLog(%v) produced %v", sys, log.System())
+			t.Errorf("GenerateSystem(%v) produced %v", sys, log.System())
 		}
-	}
-	if _, err := tsubame.GenerateLog(tsubame.System(0), 1); err == nil {
-		t.Error("invalid system should fail")
 	}
 }
 
 func TestGenerateFromCustomProfile(t *testing.T) {
-	p := tsubame.Tsubame2Profile()
+	p := synth.Tsubame2Profile()
 	p.Categories = p.Categories[:5] // smaller custom mix
-	log, err := tsubame.GenerateFromProfile(p, 3)
+	log, err := synth.Generate(p, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,63 +94,62 @@ func TestGenerateFromCustomProfile(t *testing.T) {
 	}
 	// The built-in profile getters return fresh copies: mutating p must
 	// not have touched the canonical calibration.
-	if tsubame.Tsubame2Profile().TotalFailures() != 897 {
+	if synth.Tsubame2Profile().TotalFailures() != 897 {
 		t.Error("profile mutation leaked into the built-in calibration")
 	}
 }
 
 func TestMachineFor(t *testing.T) {
-	m, err := tsubame.MachineFor(tsubame.Tsubame3)
+	m, err := system.ForSystem(failures.Tsubame3)
 	if err != nil || m.Nodes != 540 {
-		t.Errorf("MachineFor = %+v, %v", m, err)
+		t.Errorf("ForSystem = %+v, %v", m, err)
 	}
 }
 
 func TestRenderFigureDispatch(t *testing.T) {
-	t2, t3, err := tsubame.GenerateBoth(42)
+	t2, t3, err := synth.GenerateBoth(42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := tsubame.Compare(t2, t3)
+	cmp, err := core.Compare(t2, t3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{2, 3, 4, 5, 7, 8, 10, 11, 12} {
-		if tsubame.RenderFigure(n, cmp.New) == "" {
-			t.Errorf("RenderFigure(%d) empty", n)
+	s := cmp.New
+	for n, fig := range map[int]string{
+		2: report.Fig2(s), 3: report.Fig3(s), 4: report.Fig4(s), 5: report.Fig5(s),
+		6: report.Fig6(cmp.Old, cmp.New), 7: report.Fig7(s), 8: report.Fig8(s),
+		9: report.Fig9(cmp.Old, cmp.New), 10: report.Fig10(s), 11: report.Fig11(s),
+		12: report.Fig12(s),
+	} {
+		if fig == "" {
+			t.Errorf("Fig%d empty", n)
 		}
 	}
-	if tsubame.RenderFigure(99, cmp.New) != "" {
-		t.Error("unknown figure should render empty")
-	}
-	for _, n := range []int{6, 9} {
-		if tsubame.RenderComparisonFigure(n, cmp) == "" {
-			t.Errorf("RenderComparisonFigure(%d) empty", n)
-		}
-	}
-	if tsubame.RenderComparisonFigure(2, cmp) != "" {
-		t.Error("single-system figure via comparison renderer should be empty")
-	}
-	if tsubame.RenderTableI() == "" || tsubame.RenderTableII() == "" ||
-		tsubame.RenderTableIII(cmp) == "" || tsubame.RenderPEP(cmp) == "" {
+	if report.TableI() == "" || report.TableII() == "" ||
+		report.TableIII(cmp.Old, cmp.New) == "" || report.PEPTable(cmp) == "" {
 		t.Error("table renderers returned empty output")
 	}
 }
 
 func TestSimulationFacade(t *testing.T) {
-	log, err := tsubame.GenerateLog(tsubame.Tsubame2, 42)
+	log, err := synth.GenerateSystem(failures.Tsubame2, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	procs, err := tsubame.FitProcesses(log, 10)
+	procs, err := sim.ProcessesFromLog(log, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := tsubame.PredictiveSpares(0.3, 72, 1.5)
+	rate, err := predict.NewEWMARate(0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tsubame.RunSimulation(tsubame.SimConfig{
+	parts, err := spares.NewPredictive(rate, 72, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run(sim.Config{
 		Nodes: 1408, GPUsPerNode: 3, HorizonHours: 4000, Processes: procs, Crews: 8,
 		Parts: parts, Seed: 1,
 	})
@@ -153,59 +159,32 @@ func TestSimulationFacade(t *testing.T) {
 	if res.Failures == 0 || res.Availability <= 0.5 {
 		t.Errorf("simulation result = %+v", res)
 	}
-	if _, err := tsubame.FixedSpares(-1, 10); err == nil {
-		t.Error("invalid fixed spares should fail")
-	}
-	if _, err := tsubame.PredictiveSpares(5, 10, 1); err == nil {
-		t.Error("invalid alpha should fail")
-	}
 }
 
 func TestCheckpointFacade(t *testing.T) {
-	m := tsubame.CheckpointModel{CheckpointCostHours: 0.1, RestartCostHours: 0.2, MTBFHours: 15.3}
-	d, err := tsubame.ExponentialDist(m.MTBFHours)
+	m := sched.CheckpointModel{CheckpointCostHours: 0.1, RestartCostHours: 0.2, MTBFHours: 15.3}
+	d, err := dist.NewExponential(m.MTBFHours)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eff, err := tsubame.SimulateCheckpointEfficiency(m, m.OptimalInterval(), d, 50000, 1)
+	eff, err := sched.SimulatedEfficiency(m, m.OptimalInterval(), d, 50000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if eff < 0.8 || eff > 0.95 {
 		t.Errorf("simulated efficiency = %v, want ~0.88", eff)
 	}
-	if _, err := tsubame.WeibullDistFromMean(0.74, 72.6); err != nil {
+	if _, err := dist.WeibullFromMean(0.74, 72.6); err != nil {
 		t.Errorf("WeibullDistFromMean: %v", err)
 	}
 }
 
-func TestBurstyDist(t *testing.T) {
-	d, err := tsubame.BurstyDist(72.6, 0.3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := d.Mean(); m < 72.5 || m > 72.7 {
-		t.Errorf("bursty mean = %v, want 72.6", m)
-	}
-	// Hyperexponential: variance strictly above the exponential's.
-	if d.Var() <= 72.6*72.6 {
-		t.Errorf("bursty variance = %v, want above exponential %v", d.Var(), 72.6*72.6)
-	}
-	for _, bad := range []struct{ mean, frac, burst float64 }{
-		{72, 0, 5}, {72, 1, 5}, {72, 0.5, 0}, {5, 0.9, 10},
-	} {
-		if _, err := tsubame.BurstyDist(bad.mean, bad.frac, bad.burst); err == nil {
-			t.Errorf("BurstyDist(%v) should fail", bad)
-		}
-	}
-}
-
 func TestLocalityPredictorFacade(t *testing.T) {
-	log, err := tsubame.GenerateLog(tsubame.Tsubame2, 42)
+	log, err := synth.GenerateSystem(failures.Tsubame2, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := tsubame.EvaluateLocalityPredictor(log, 72)
+	ev, err := predict.EvaluateLocality(log, 72)
 	if err != nil {
 		t.Fatal(err)
 	}
