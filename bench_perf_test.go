@@ -193,15 +193,14 @@ func BenchmarkPerfFitAll100k(b *testing.B) {
 	}
 }
 
-// BenchmarkPerfFitAllSorted100k measures the same sweep entered through
-// a pre-sorted arena: the sort drops out entirely.
-func BenchmarkPerfFitAllSorted100k(b *testing.B) {
-	sorted := index.New(perfLog(b)).SortedRecoveryHours()
+// BenchmarkPerfFitReport100k measures the whole tsubame-fit report on
+// the 100k log at parallelism 1: sample assembly, then every system-wide
+// and per-category TBF and TTR fit in turn, then rendering.
+func BenchmarkPerfFitReport100k(b *testing.B) {
+	log := perfLog(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dist.FitAllSorted(sorted); err != nil {
-			b.Fatal(err)
-		}
+		textreport.Fit(io.Discard, log, 10, 1)
 	}
 }
 

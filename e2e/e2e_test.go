@@ -98,14 +98,17 @@ func run(t *testing.T, tool string, args ...string) (stdout, stderr string, code
 // means the analysis or rendering pipeline changed behavior.
 func TestGoldenOutputs(t *testing.T) {
 	cases := []struct {
-		name string
-		tool string
-		args []string
+		name   string
+		golden string // the golden's base name when it is not name
+		tool   string
+		args   []string
 	}{
-		{"analyze", "tsubame-analyze", []string{"-in", "testdata/t2-seed42.csv", "-parallel", "1"}},
-		{"report", "tsubame-report", []string{"-seed", "42"}},
-		{"digest", "tsubame-digest", []string{"-in", "testdata/t2-seed42.csv", "-days", "30"}},
-		{"diff", "tsubame-diff", []string{"-before", "testdata/t2-before.csv", "-after", "testdata/t2-after.csv"}},
+		{"analyze", "", "tsubame-analyze", []string{"-in", "testdata/t2-seed42.csv", "-parallel", "1"}},
+		{"report", "", "tsubame-report", []string{"-seed", "42"}},
+		{"digest", "", "tsubame-digest", []string{"-in", "testdata/t2-seed42.csv", "-days", "30"}},
+		{"diff", "", "tsubame-diff", []string{"-before", "testdata/t2-before.csv", "-after", "testdata/t2-after.csv"}},
+		{"fit", "", "tsubame-fit", []string{"-in", "testdata/t2-seed42.csv", "-parallel", "1"}},
+		{"fit-parallel4", "fit", "tsubame-fit", []string{"-in", "testdata/t2-seed42.csv", "-parallel", "4"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -113,7 +116,11 @@ func TestGoldenOutputs(t *testing.T) {
 			if code != 0 {
 				t.Fatalf("%s exited %d\nstderr: %s", c.tool, code, stderr)
 			}
-			golden := filepath.Join("testdata", c.name+".golden")
+			name := c.name
+			if c.golden != "" {
+				name = c.golden
+			}
+			golden := filepath.Join("testdata", name+".golden")
 			if *update {
 				if err := os.WriteFile(golden, []byte(stdout), 0o644); err != nil {
 					t.Fatal(err)
@@ -246,6 +253,56 @@ func TestConformCLI(t *testing.T) {
 	}
 	if !bytes.Contains(data, []byte(`"checks"`)) || !bytes.Contains(data, []byte(`"anchor"`)) {
 		t.Fatal("JSON report is missing checks/anchor fields")
+	}
+}
+
+// TestFitCLIEdgeCases pins tsubame-fit on logs whose samples sit at the
+// edge of a family's fit. Each row is a CSV log and the report lines it
+// must and must not print.
+func TestFitCLIEdgeCases(t *testing.T) {
+	header := "id,system,time,recovery_hours,category,node,gpus,software_cause\n"
+	row := func(id int, day int, hours string) string {
+		return fmt.Sprintf("%d,Tsubame-2,2012-01-%02dT00:00:00Z,%s,GPU,n0001,0,\n", id, day, hours)
+	}
+	// Recoveries of 24 h and one of 24.0001 h: the shape MLE lies far
+	// above 1024, so Weibull must drop out. Reading the NaN of an
+	// overflowing 24^k as a sign once fitted k=222.2, where 24^k
+	// overflows. The daily failures make every gap 24 h, which has no
+	// Weibull fit either.
+	overflow := header
+	for i := 1; i <= 11; i++ {
+		overflow += row(i, i, "24")
+	}
+	overflow += row(12, 12, "24.0001")
+
+	for _, c := range []struct {
+		name, csv      string
+		want, unwanted []string
+	}{
+		{"ttr overflow", overflow,
+			[]string{"System-wide time to recovery:\n  * lognormal", "    exponential  Exponential(mean=24)"},
+			[]string{"weibull", "k=222.2"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			in := filepath.Join(t.TempDir(), "log.csv")
+			if err := os.WriteFile(in, []byte(c.csv), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			stdout, stderr, code := run(t, "tsubame-fit", "-in", in, "-parallel", "1")
+			if code != 0 {
+				t.Fatalf("tsubame-fit exited %d\nstderr: %s", code, stderr)
+			}
+			for _, w := range c.want {
+				if !strings.Contains(stdout, w) {
+					t.Errorf("report lacks %q:\n%s", w, stdout)
+				}
+			}
+			for _, u := range c.unwanted {
+				if strings.Contains(stdout, u) {
+					t.Errorf("report contains %q:\n%s", u, stdout)
+				}
+			}
+		})
 	}
 }
 

@@ -1,46 +1,82 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync/atomic"
 )
 
+// ErrInfiniteObservation is the error FitWeibull wraps for a sample
+// holding +Inf: x^k and the shifted exp(k·(ln x − max ln x)) are then
+// both NaN at every shape, so the shape equation has no sign to search.
+var ErrInfiniteObservation = errors.New("dist: weibull shape is undefined for an infinite observation")
+
+// logSample is a positive sample with the log of every observation,
+// taken once and shared by every family's fit and log-likelihood.
+type logSample struct {
+	xs, logs      []float64
+	mean, meanLog float64
+}
+
+// newLogSample checks that every observation is positive, naming the
+// fit in its error, and takes the logs and both means in one pass.
+func newLogSample(xs []float64, fit string) (*logSample, error) {
+	s := &logSample{xs: xs, logs: make([]float64, len(xs))}
+	for i, x := range xs {
+		if !(x > 0) {
+			return nil, fmt.Errorf("dist: %s requires positive observations, got %v", fit, x)
+		}
+		s.logs[i] = math.Log(x)
+		s.mean += x
+		s.meanLog += s.logs[i]
+	}
+	if n := float64(len(xs)); n > 0 {
+		s.mean /= n
+		s.meanLog /= n
+	}
+	return s, nil
+}
+
 // FitExponential returns the maximum-likelihood exponential fit (the sample
 // mean). Non-positive observations are rejected.
 func FitExponential(xs []float64) (Exponential, error) {
-	mean, _, err := positiveMeanLogMean(xs)
+	s, err := newLogSample(xs, "fit")
 	if err != nil {
 		return Exponential{}, err
 	}
-	return NewExponential(mean)
+	return s.fitExponential()
+}
+
+func (s *logSample) fitExponential() (Exponential, error) {
+	if len(s.xs) == 0 {
+		return Exponential{}, fmt.Errorf("dist: fit needs at least 1 observation")
+	}
+	return NewExponential(s.mean)
 }
 
 // FitLogNormal returns the maximum-likelihood log-normal fit: mu and sigma
 // are the mean and standard deviation of the log observations.
 func FitLogNormal(xs []float64) (LogNormal, error) {
-	if len(xs) < 2 {
-		return LogNormal{}, fmt.Errorf("dist: lognormal fit needs at least 2 observations, got %d", len(xs))
+	s, err := newLogSample(xs, "lognormal fit")
+	if err != nil {
+		return LogNormal{}, err
 	}
-	logs := make([]float64, len(xs))
-	for i, x := range xs {
-		if !(x > 0) {
-			return LogNormal{}, fmt.Errorf("dist: lognormal fit requires positive observations, got %v", x)
-		}
-		logs[i] = math.Log(x)
+	return s.fitLogNormal()
+}
+
+func (s *logSample) fitLogNormal() (LogNormal, error) {
+	if len(s.xs) < 2 {
+		return LogNormal{}, fmt.Errorf("dist: lognormal fit needs at least 2 observations, got %d", len(s.xs))
 	}
-	var mu float64
-	for _, l := range logs {
-		mu += l
-	}
-	mu /= float64(len(logs))
+	mu := s.meanLog
 	var ss float64
-	for _, l := range logs {
+	for _, l := range s.logs {
 		d := l - mu
 		ss += d * d
 	}
-	sigma := math.Sqrt(ss / float64(len(logs)-1))
+	sigma := math.Sqrt(ss / float64(len(s.logs)-1))
 	if sigma == 0 {
 		return LogNormal{}, fmt.Errorf("dist: lognormal fit is degenerate (all observations equal)")
 	}
@@ -53,35 +89,45 @@ func FitLogNormal(xs []float64) (LogNormal, error) {
 //
 // g is strictly increasing, so each bisection step needs only the sign of
 // g(mid). A Newton solve of the same equation answers that sign wherever
-// mid is certified to lie clear of the root (see weibullShapeSigns); the
+// mid is certified to lie clear of the root (see weibullShapeCert.signs); the
 // few steps near the root evaluate g itself, so the bisection takes the
 // same path, and returns the same bits, as one that evaluates g every
-// step.
+// step. Where x^k overflows or underflows and g is NaN, the sign comes
+// from an overflow-free evaluation instead, and so does the scale when
+// its sum of x^k does. Every x^k is math.Pow's value, computed by powExp
+// from the sample's logs and Frexp splits, which are taken once. A
+// sample holding +Inf fails with an error wrapping ErrInfiniteObservation.
 func FitWeibull(xs []float64) (Weibull, error) {
+	s, err := newLogSample(xs, "weibull fit")
+	if err != nil {
+		return Weibull{}, err
+	}
+	return s.fitWeibull()
+}
+
+func (s *logSample) fitWeibull() (Weibull, error) {
+	xs, logs, meanLog := s.xs, s.logs, s.meanLog
 	if len(xs) < 2 {
 		return Weibull{}, fmt.Errorf("dist: weibull fit needs at least 2 observations, got %d", len(xs))
 	}
-	logs := make([]float64, len(xs))
-	var meanLog float64
-	for i, x := range xs {
-		if !(x > 0) {
-			return Weibull{}, fmt.Errorf("dist: weibull fit requires positive observations, got %v", x)
+	for _, x := range xs {
+		if math.IsInf(x, 1) {
+			return Weibull{}, fmt.Errorf("%w (n=%d)", ErrInfiniteObservation, len(xs))
 		}
-		logs[i] = math.Log(x)
-		meanLog += logs[i]
 	}
-	meanLog /= float64(len(xs))
-
+	bases := newPowBases(xs, logs)
 	g := func(k float64) float64 {
+		e := newPowExp(k)
 		var sxk, sxkl float64
-		for i, x := range xs {
-			xk := math.Pow(x, k)
+		for i := range xs {
+			xk := e.pow(&bases, i)
 			sxk += xk
 			sxkl += xk * logs[i]
 		}
 		return sxkl/sxk - 1/k - meanLog
 	}
-	below := weibullShapeSigns(logs, meanLog, g)
+	cert := certifyWeibullShape(logs, meanLog)
+	below := cert.signs(g)
 
 	// Bracket the root, then bisect. The path this search takes fixes the
 	// fitted bits, so below must answer exactly as g(k) < 0 would.
@@ -103,11 +149,15 @@ func FitWeibull(xs []float64) (Weibull, error) {
 	}
 	k := (lo + hi) / 2
 
+	e := newPowExp(k)
 	var sxk float64
-	for _, x := range xs {
-		sxk += math.Pow(x, k)
+	for i := range xs {
+		sxk += e.pow(&bases, i)
 	}
 	lambda := math.Pow(sxk/float64(len(xs)), 1/k)
+	if math.IsInf(sxk, 1) || sxk == 0 {
+		lambda = cert.scale(k) // x^k overflowed or every term underflowed
+	}
 	return NewWeibull(k, lambda)
 }
 
@@ -159,41 +209,46 @@ func FitAllSorted(sorted []float64) ([]Fit, error) {
 	return fitAll(sorted, sorted)
 }
 
-// family pairs a fitted distribution with its parameter count and per-
-// observation log-likelihood, the inputs of the fused scoring sweep.
+// family pairs a fitted distribution with its parameter count and the
+// log-likelihood of observation i, the inputs of the scoring sweep.
 type family struct {
 	name   string
 	dist   Distribution
 	params int
-	ll     func(x float64) float64
+	ll     func(i int) float64
 }
 
 // fitAll fits every family to xs and scores against the sorted view of
-// the same sample. When xs and sorted are the same slice (the FitAllSorted
-// path) the log-likelihood and KS passes fuse into one sweep; otherwise
-// the log-likelihood accumulates in xs order, preserving FitAll's exact
-// historical results.
+// the same sample. The sample's logs are taken once and shared by the
+// fits and the log-likelihoods. When xs and sorted are the same slice
+// (the FitAllSorted path) the log-likelihood and KS passes fuse into one
+// sweep; otherwise the log-likelihood accumulates in xs order,
+// preserving FitAll's exact historical results.
 func fitAll(xs, sorted []float64) ([]Fit, error) {
 	var families []family
-	if e, err := FitExponential(xs); err == nil {
-		logMean := math.Log(e.MeanVal)
-		families = append(families, family{"exponential", e, 1, func(x float64) float64 {
-			return -logMean - x/e.MeanVal
-		}})
-	}
-	if w, err := FitWeibull(xs); err == nil {
-		logK, logL := math.Log(w.K), math.Log(w.Lambda)
-		families = append(families, family{"weibull", w, 2, func(x float64) float64 {
-			z := x / w.Lambda
-			return logK - logL + (w.K-1)*(math.Log(x)-logL) - math.Pow(z, w.K)
-		}})
-	}
-	if l, err := FitLogNormal(xs); err == nil {
-		c := -0.5*math.Log(2*math.Pi) - math.Log(l.Sigma)
-		families = append(families, family{"lognormal", l, 2, func(x float64) float64 {
-			z := (math.Log(x) - l.Mu) / l.Sigma
-			return c - math.Log(x) - z*z/2
-		}})
+	// A non-positive observation fails every family, as does the empty
+	// sample.
+	if s, err := newLogSample(xs, "fit"); err == nil {
+		if e, err := s.fitExponential(); err == nil {
+			logMean := math.Log(e.MeanVal)
+			families = append(families, family{"exponential", e, 1, func(i int) float64 {
+				return -logMean - xs[i]/e.MeanVal
+			}})
+		}
+		if w, err := s.fitWeibull(); err == nil {
+			logK, logL := math.Log(w.K), math.Log(w.Lambda)
+			families = append(families, family{"weibull", w, 2, func(i int) float64 {
+				z := xs[i] / w.Lambda
+				return logK - logL + (w.K-1)*(s.logs[i]-logL) - math.Pow(z, w.K)
+			}})
+		}
+		if l, err := s.fitLogNormal(); err == nil {
+			c := -0.5*math.Log(2*math.Pi) - math.Log(l.Sigma)
+			families = append(families, family{"lognormal", l, 2, func(i int) float64 {
+				z := (s.logs[i] - l.Mu) / l.Sigma
+				return c - s.logs[i] - z*z/2
+			}})
+		}
 	}
 	if len(families) == 0 {
 		return nil, fmt.Errorf("dist: no distribution family fits the sample (n=%d)", len(xs))
@@ -205,8 +260,8 @@ func fitAll(xs, sorted []float64) ([]Fit, error) {
 		if fused {
 			ll, ks = sweepSorted(sorted, fam.ll, fam.dist.CDF)
 		} else {
-			for _, x := range xs {
-				ll += fam.ll(x)
+			for j := range xs {
+				ll += fam.ll(j)
 			}
 			ks = ksStatisticSorted(sorted, fam.dist.CDF)
 		}
@@ -219,10 +274,10 @@ func fitAll(xs, sorted []float64) ([]Fit, error) {
 // sweepSorted is the fused scoring pass of the pre-sorted path: one loop
 // over the sorted sample accumulates the log-likelihood and tracks the KS
 // supremum simultaneously.
-func sweepSorted(sorted []float64, ll func(float64) float64, cdf func(float64) float64) (loglik, ks float64) {
+func sweepSorted(sorted []float64, ll func(int) float64, cdf func(float64) float64) (loglik, ks float64) {
 	n := float64(len(sorted))
 	for i, x := range sorted {
-		loglik += ll(x)
+		loglik += ll(i)
 		f := cdf(x)
 		ks = math.Max(ks, math.Max(math.Abs(f-float64(i)/n), math.Abs(float64(i+1)/n-f)))
 	}
@@ -245,57 +300,6 @@ func FitBestSorted(sorted []float64) (Fit, error) {
 		return Fit{}, err
 	}
 	return fits[0], nil
-}
-
-// positiveMeanLogMean validates positivity and returns the mean and mean
-// log of xs.
-func positiveMeanLogMean(xs []float64) (mean, meanLog float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, fmt.Errorf("dist: fit needs at least 1 observation")
-	}
-	for _, x := range xs {
-		if !(x > 0) {
-			return 0, 0, fmt.Errorf("dist: fit requires positive observations, got %v", x)
-		}
-		mean += x
-		meanLog += math.Log(x)
-	}
-	n := float64(len(xs))
-	return mean / n, meanLog / n, nil
-}
-
-// exponentialLogLik is the exponential log-likelihood of positive xs.
-// The fitting sweep in fitAll inlines this term-for-term; these three
-// standalone forms remain the reference implementations the tests check.
-func exponentialLogLik(e Exponential, xs []float64) float64 {
-	logMean := math.Log(e.MeanVal)
-	var ll float64
-	for _, x := range xs {
-		ll += -logMean - x/e.MeanVal
-	}
-	return ll
-}
-
-// weibullLogLik is the Weibull log-likelihood of positive xs.
-func weibullLogLik(w Weibull, xs []float64) float64 {
-	logK, logL := math.Log(w.K), math.Log(w.Lambda)
-	var ll float64
-	for _, x := range xs {
-		z := x / w.Lambda
-		ll += logK - logL + (w.K-1)*(math.Log(x)-logL) - math.Pow(z, w.K)
-	}
-	return ll
-}
-
-// logNormalLogLik is the log-normal log-likelihood of positive xs.
-func logNormalLogLik(l LogNormal, xs []float64) float64 {
-	c := -0.5*math.Log(2*math.Pi) - math.Log(l.Sigma)
-	var ll float64
-	for _, x := range xs {
-		z := (math.Log(x) - l.Mu) / l.Sigma
-		ll += c - math.Log(x) - z*z/2
-	}
-	return ll
 }
 
 // ksStatisticSorted computes the one-sample KS statistic over an already-

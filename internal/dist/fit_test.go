@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -251,5 +252,77 @@ func TestLogLikelihoodFiniteness(t *testing.T) {
 	fitted, _ := FitExponential(xs)
 	if exponentialLogLik(fitted, xs) < weibullLogLik(w, xs) {
 		t.Error("fitted exponential should beat an arbitrary Weibull on exponential data")
+	}
+}
+
+// exponentialLogLik is the exponential log-likelihood of positive xs.
+// fitAll's scoring sweep computes these three log-likelihoods term for
+// term from the sample's shared logs; these standalone forms are the
+// reference it is checked against.
+func exponentialLogLik(e Exponential, xs []float64) float64 {
+	logMean := math.Log(e.MeanVal)
+	var ll float64
+	for _, x := range xs {
+		ll += -logMean - x/e.MeanVal
+	}
+	return ll
+}
+
+// weibullLogLik is the Weibull log-likelihood of positive xs.
+func weibullLogLik(w Weibull, xs []float64) float64 {
+	logK, logL := math.Log(w.K), math.Log(w.Lambda)
+	var ll float64
+	for _, x := range xs {
+		z := x / w.Lambda
+		ll += logK - logL + (w.K-1)*(math.Log(x)-logL) - math.Pow(z, w.K)
+	}
+	return ll
+}
+
+// logNormalLogLik is the log-normal log-likelihood of positive xs.
+func logNormalLogLik(l LogNormal, xs []float64) float64 {
+	c := -0.5*math.Log(2*math.Pi) - math.Log(l.Sigma)
+	var ll float64
+	for _, x := range xs {
+		z := (math.Log(x) - l.Mu) / l.Sigma
+		ll += c - math.Log(x) - z*z/2
+	}
+	return ll
+}
+
+// TestFitAllAICMatchesReferenceLogLik pins fitAll's scoring sweep, which
+// reads each observation's log from the sample's one log pass, to the
+// standalone log-likelihoods bit for bit, on both entry points.
+func TestFitAllAICMatchesReferenceLogLik(t *testing.T) {
+	truth, _ := NewWeibull(0.8, 40)
+	xs := sampleN(truth, 3000, 11)
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	for name, fit := range map[string]func() ([]Fit, error){
+		"FitAll":       func() ([]Fit, error) { return FitAll(xs) },
+		"FitAllSorted": func() ([]Fit, error) { return FitAllSorted(sorted) },
+	} {
+		fits, err := fit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sample := xs
+		if name == "FitAllSorted" {
+			sample = sorted
+		}
+		for _, f := range fits {
+			var want float64
+			switch d := f.Dist.(type) {
+			case Exponential:
+				want = 2 - 2*exponentialLogLik(d, sample)
+			case Weibull:
+				want = 4 - 2*weibullLogLik(d, sample)
+			case LogNormal:
+				want = 4 - 2*logNormalLogLik(d, sample)
+			}
+			if math.Float64bits(want) != math.Float64bits(f.AIC) {
+				t.Errorf("%s %s: AIC %v, reference %v", name, f.Name, f.AIC, want)
+			}
+		}
 	}
 }

@@ -38,7 +38,7 @@ func TestWeibullShapeSignsNearRoot(t *testing.T) {
 			}
 			return sxkl/sxk - 1/k - meanLog
 		}
-		below := weibullShapeSigns(logs, meanLog, g)
+		below := certifyWeibullShape(logs, meanLog).signs(g)
 
 		lo, hi := weibullShapeMin, float64(weibullShapeMax)
 		for hi-lo > 0 && lo < (lo+hi)/2 && (lo+hi)/2 < hi {
@@ -59,6 +59,49 @@ func TestWeibullShapeSignsNearRoot(t *testing.T) {
 			if got, want := below(k), g(k) < 0; got != want {
 				t.Fatalf("trial %d (n=%d): below(%v) = %v, g = %v", trial, n, k, got, g(k))
 			}
+		}
+	}
+}
+
+// TestWeibullShapeBandIsCertificateSized checks the band the sign oracle
+// accepts on samples shaped like failure logs: it passes its certificate
+// (the shifted shape function beyond ±3·tol at its ends), and it is the
+// first band tried, of half-width 4·tol/slope(r) floored at
+// 1e-13·(1+r). A band started narrower than its certificate allows
+// needs a widening, which leaves more bisection steps evaluating g.
+func TestWeibullShapeBandIsCertificateSized(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 48; trial++ {
+		n := []int{50, 400, 3000, 20000}[trial%4]
+		shape := 0.4 + 2.5*rng.Float64()
+		scale := math.Pow(10, 3*rng.Float64()-1)
+		logs := make([]float64, n)
+		var meanLog float64
+		for i := range logs {
+			x := scale * math.Pow(rng.ExpFloat64(), 1/shape)
+			switch trial % 3 {
+			case 1:
+				x = scale * math.Exp(rng.NormFloat64()/shape)
+			case 2:
+				x = math.Max(0.01, math.Round(100*x)/100)
+			}
+			logs[i] = math.Log(x)
+			meanLog += logs[i]
+		}
+		meanLog /= float64(n)
+		c := certifyWeibullShape(logs, meanLog)
+		if c.tries != 0 {
+			t.Fatalf("trial %d (n=%d): band accepted after %d widenings", trial, n, c.tries)
+		}
+		want := math.Min(1e-8*(1+c.r), math.Max(4*c.tol/c.slope, 1e-13*(1+c.r)))
+		if half := (c.b - c.a) / 2; !(math.Abs(half-want) <= 1e-6*want+1e-15*c.r) {
+			t.Fatalf("trial %d (n=%d): band [%v, %v] around %v, want half-width %v", trial, n, c.a, c.b, c.r, want)
+		}
+		if ga, _ := c.shifted(c.a); !(ga < -3*c.tol) {
+			t.Fatalf("trial %d (n=%d): g(%v) = %v, not below -3·tol = %v", trial, n, c.a, ga, -3*c.tol)
+		}
+		if gb, _ := c.shifted(c.b); !(gb > 3*c.tol) {
+			t.Fatalf("trial %d (n=%d): g(%v) = %v, not above 3·tol = %v", trial, n, c.b, gb, 3*c.tol)
 		}
 	}
 }

@@ -274,7 +274,7 @@ func TestSweepResumeAfterTornKill(t *testing.T) {
 	// A kill can only tear the protocol in write order: a shard's final
 	// line may be partial (its manifest line then never happened), and
 	// the manifest's own final line may be partial. Reconstruct that
-	// state: tear the last line of shard 0, then drop the IDs of the
+	// state: tear the last line of a shard, then drop the IDs of the
 	// shard's last two lines from the manifest, leaving the second as a
 	// torn fragment (its shard line complete but unmanifested — the
 	// "killed between the two writes" window).
@@ -282,17 +282,26 @@ func TestSweepResumeAfterTornKill(t *testing.T) {
 	if err != nil || len(shards) == 0 {
 		t.Fatalf("no shards: %v", err)
 	}
-	sdata, err := os.ReadFile(shards[0])
-	if err != nil {
-		t.Fatal(err)
+	// Workers pull cells from a shared counter, so one worker may have
+	// taken every cell: tear the longest shard, not the first.
+	var shard string
+	var sdata []byte
+	var slines [][]byte
+	for _, path := range shards {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lines := completeLines(data); shard == "" || len(lines) > len(slines) {
+			shard, sdata, slines = path, data, lines
+		}
 	}
-	slines := completeLines(sdata)
 	if len(slines) < 2 {
 		t.Fatalf("shard too short: %d lines", len(slines))
 	}
 	tornID := jsonID(t, slines[len(slines)-1])
 	orphanID := jsonID(t, slines[len(slines)-2])
-	if err := os.WriteFile(shards[0], sdata[:len(sdata)-10], 0o644); err != nil {
+	if err := os.WriteFile(shard, sdata[:len(sdata)-10], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	manifestPath := filepath.Join(dir, ManifestName)

@@ -224,20 +224,62 @@ func Diff(w io.Writer, system failures.System, d *core.PeriodDiff, alpha float64
 // fitted concurrently on a pool of width parallelism; the report order
 // is fixed regardless of parallelism.
 func Fit(w io.Writer, log *failures.Log, minCount, parallelism int) {
-	// Assemble every sample first, then fit the whole batch on the pool.
-	titles := []string{
-		"System-wide time between failures",
-		"System-wide time to recovery",
+	titles, samples := fitSamples(log, minCount)
+	fitted := dist.FitAllMany(samples, parallelism)
+
+	fmt.Fprintf(w, "Distribution fits for %v (%d records).\n", log.System(), log.Len())
+	for i, sf := range fitted {
+		fmt.Fprintf(w, "\n%s:\n", titles[i])
+		printFits(w, sf)
 	}
-	samples := [][]float64{
-		positiveOnly(log.InterarrivalHours()),
-		positiveOnly(log.RecoveryHours()),
+}
+
+// catSamples collects the positive TBF and TTR samples of a run of
+// records.
+type catSamples struct {
+	seen     bool // a record was added; last is its time
+	last     time.Time
+	tbf, ttr []float64
+}
+
+// newCatSamples sizes the samples for n records: TBF is nil below two
+// records, as Log.InterarrivalHours is.
+func newCatSamples(n int) *catSamples {
+	cs := &catSamples{ttr: make([]float64, 0, n)}
+	if n >= 2 {
+		cs.tbf = make([]float64, 0, n-1)
 	}
+	return cs
+}
+
+// add appends r's gap from the previous record added, and its recovery
+// time, to the samples where positive.
+func (cs *catSamples) add(r *failures.Failure) {
+	if cs.seen {
+		if h := r.Time.Sub(cs.last).Hours(); h > 0 {
+			cs.tbf = append(cs.tbf, h)
+		}
+	}
+	cs.seen, cs.last = true, r.Time
+	if h := r.Recovery.Hours(); h > 0 {
+		cs.ttr = append(cs.ttr, h)
+	}
+}
+
+// fitSamples assembles the fit report's titled samples: system-wide TBF
+// and TTR, then TBF and TTR of each category with at least minCount
+// records, by descending count and then name. A TBF sample holds the
+// positive gaps between consecutive records (of the category), a TTR
+// sample the positive recovery times. One pass over the records fills
+// every sample.
+func fitSamples(log *failures.Log, minCount int) (titles []string, samples [][]float64) {
 	counts := log.ByCategory()
-	cats := make([]failures.Category, 0, len(counts))
+	fitted := make(map[failures.Category]*catSamples, len(counts))
+	var cats []failures.Category
 	for cat, n := range counts {
 		if n >= minCount {
 			cats = append(cats, cat)
+			fitted[cat] = newCatSamples(n)
 		}
 	}
 	sort.Slice(cats, func(i, j int) bool {
@@ -246,24 +288,25 @@ func Fit(w io.Writer, log *failures.Log, minCount, parallelism int) {
 		}
 		return cats[i] < cats[j]
 	})
+
+	all := newCatSamples(log.Len())
+	for i := 0; i < log.Len(); i++ {
+		r := log.At(i)
+		all.add(&r)
+		if cs := fitted[r.Category]; cs != nil {
+			cs.add(&r)
+		}
+	}
+
+	titles = []string{"System-wide time between failures", "System-wide time to recovery"}
+	samples = [][]float64{all.tbf, all.ttr}
 	for _, cat := range cats {
-		cat := cat
-		sub := log.Filter(func(f failures.Failure) bool { return f.Category == cat })
 		titles = append(titles,
-			fmt.Sprintf("%s (%d records) time between failures", cat, sub.Len()),
+			fmt.Sprintf("%s (%d records) time between failures", cat, counts[cat]),
 			fmt.Sprintf("%s time to recovery", cat))
-		samples = append(samples,
-			positiveOnly(sub.InterarrivalHours()),
-			positiveOnly(sub.RecoveryHours()))
+		samples = append(samples, fitted[cat].tbf, fitted[cat].ttr)
 	}
-
-	fitted := dist.FitAllMany(samples, parallelism)
-
-	fmt.Fprintf(w, "Distribution fits for %v (%d records).\n", log.System(), log.Len())
-	for i, sf := range fitted {
-		fmt.Fprintf(w, "\n%s:\n", titles[i])
-		printFits(w, sf)
-	}
+	return titles, samples
 }
 
 func printFits(w io.Writer, sf dist.SampleFits) {
@@ -278,16 +321,6 @@ func printFits(w io.Writer, sf dist.SampleFits) {
 		}
 		fmt.Fprintf(w, "  %s %-12s %-38s KS=%.4f AIC=%.1f\n", marker, fit.Name, fit.Dist, fit.KS, fit.AIC)
 	}
-}
-
-func positiveOnly(sample []float64) []float64 {
-	positive := sample[:0:0]
-	for _, x := range sample {
-		if x > 0 {
-			positive = append(positive, x)
-		}
-	}
-	return positive
 }
 
 func orDash(s string) string {
