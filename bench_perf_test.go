@@ -288,18 +288,22 @@ func BenchmarkPerfGenerateEncode100k(b *testing.B) {
 	b.SetBytes(int64(buf.Len()))
 }
 
-// BenchmarkPerfGenerateMany measures the multi-seed fan-out: eight
-// unscaled Tsubame-3 logs across every core, each byte-identical to its
-// sequential Generate.
+// BenchmarkPerfGenerateMany measures the multi-seed fan-out that
+// tsubame-gen -runs performs: eight unscaled Tsubame-3 logs through
+// synth.GenerateEach across every core, each byte-identical to its
+// sequential Generate and released once handed over.
 func BenchmarkPerfGenerateMany(b *testing.B) {
 	p := synth.Tsubame3Profile()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := synth.GenerateMany(p, benchSeeds, 0); err != nil {
+		if err := synth.GenerateEach(context.Background(), p, benchSeeds, 0, discardLog); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
+
+// discardLog is a GenerateEach consumer that keeps nothing.
+func discardLog(int, *failures.Log) error { return nil }
 
 // BenchmarkPerfWriteNDJSON100k measures the append-based NDJSON encoder
 // (pooled buffers, no reflection; byte-identical to the json.Encoder

@@ -589,7 +589,7 @@ func BenchmarkParallelFullStudy(b *testing.B) {
 func BenchmarkGenerateSeedsSequential(b *testing.B) {
 	p := synth.Tsubame2Profile()
 	for i := 0; i < b.N; i++ {
-		if _, err := synth.GenerateMany(p, benchSeeds, 1); err != nil {
+		if err := synth.GenerateEach(context.Background(), p, benchSeeds, 1, discardLog); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -602,7 +602,7 @@ func BenchmarkGenerateSeedsSequential(b *testing.B) {
 func BenchmarkParallelGenerateSeeds(b *testing.B) {
 	p := synth.Tsubame2Profile()
 	for i := 0; i < b.N; i++ {
-		if _, err := synth.GenerateMany(p, benchSeeds, 0); err != nil {
+		if err := synth.GenerateEach(context.Background(), p, benchSeeds, 0, discardLog); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -174,40 +174,8 @@ type Fit struct {
 
 // fitSortCount counts every sample sort the fitting path performs. The
 // single-sort regression test reads it through export_test.go: FitAll on
-// any sample must increment it exactly once, FitAllSorted never.
+// any sample must increment it exactly once.
 var fitSortCount atomic.Int64
-
-// FitAll fits the exponential, Weibull, and log-normal families to xs and
-// returns the fits sorted by ascending KS statistic (best first). Families
-// that fail to fit are omitted; an error is returned only when no family
-// fits.
-//
-// The sample is cloned and sorted exactly once, and every family's KS
-// statistic reads the shared sorted buffer — previously each family
-// re-cloned and re-sorted the sample. Callers that already hold a sorted
-// sample (the analysis index's arenas) should use FitAllSorted, which
-// performs no sort at all.
-func FitAll(xs []float64) ([]Fit, error) {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	fitSortCount.Add(1)
-	return fitAll(xs, sorted)
-}
-
-// FitAllSorted is FitAll on an already-sorted, ascending sample: the MLE,
-// log-likelihood, and KS passes all run over the given slice and no sort
-// or clone happens. The per-family goodness-of-fit scoring is fused into
-// a single sweep over the sorted data. The slice is not retained.
-//
-// Note that floating-point accumulation follows the sorted order, so
-// parameters can differ from FitAll(unsorted) in the last ulp; within one
-// pipeline, fit inputs consistently through one entry point.
-func FitAllSorted(sorted []float64) ([]Fit, error) {
-	if !sort.Float64sAreSorted(sorted) {
-		return nil, fmt.Errorf("dist: FitAllSorted requires an ascending sample")
-	}
-	return fitAll(sorted, sorted)
-}
 
 // family pairs a fitted distribution with its parameter count and the
 // log-likelihood of observation i, the inputs of the scoring sweep.
@@ -218,13 +186,20 @@ type family struct {
 	ll     func(i int) float64
 }
 
-// fitAll fits every family to xs and scores against the sorted view of
-// the same sample. The sample's logs are taken once and shared by the
-// fits and the log-likelihoods. When xs and sorted are the same slice
-// (the FitAllSorted path) the log-likelihood and KS passes fuse into one
-// sweep; otherwise the log-likelihood accumulates in xs order,
-// preserving FitAll's exact historical results.
-func fitAll(xs, sorted []float64) ([]Fit, error) {
+// FitAll fits the exponential, Weibull, and log-normal families to xs and
+// returns the fits sorted by ascending KS statistic (best first). Families
+// that fail to fit are omitted; an error is returned only when no family
+// fits.
+//
+// The sample is cloned and sorted exactly once, and every family's KS
+// statistic reads the shared sorted buffer — previously each family
+// re-cloned and re-sorted the sample. The sample's logs are taken once
+// and shared by the fits and the log-likelihoods, which accumulate in xs
+// order.
+func FitAll(xs []float64) ([]Fit, error) {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	fitSortCount.Add(1)
 	var families []family
 	// A non-positive observation fails every family, as does the empty
 	// sample.
@@ -253,49 +228,22 @@ func fitAll(xs, sorted []float64) ([]Fit, error) {
 	if len(families) == 0 {
 		return nil, fmt.Errorf("dist: no distribution family fits the sample (n=%d)", len(xs))
 	}
-	fused := len(xs) == len(sorted) && (len(xs) == 0 || &xs[0] == &sorted[0])
 	fits := make([]Fit, len(families))
 	for i, fam := range families {
-		var ll, ks float64
-		if fused {
-			ll, ks = sweepSorted(sorted, fam.ll, fam.dist.CDF)
-		} else {
-			for j := range xs {
-				ll += fam.ll(j)
-			}
-			ks = ksStatisticSorted(sorted, fam.dist.CDF)
+		var ll float64
+		for j := range xs {
+			ll += fam.ll(j)
 		}
+		ks := ksStatisticSorted(sorted, fam.dist.CDF)
 		fits[i] = Fit{Name: fam.name, Dist: fam.dist, KS: ks, AIC: 2*float64(fam.params) - 2*ll}
 	}
 	sort.Slice(fits, func(i, j int) bool { return fits[i].KS < fits[j].KS })
 	return fits, nil
 }
 
-// sweepSorted is the fused scoring pass of the pre-sorted path: one loop
-// over the sorted sample accumulates the log-likelihood and tracks the KS
-// supremum simultaneously.
-func sweepSorted(sorted []float64, ll func(int) float64, cdf func(float64) float64) (loglik, ks float64) {
-	n := float64(len(sorted))
-	for i, x := range sorted {
-		loglik += ll(i)
-		f := cdf(x)
-		ks = math.Max(ks, math.Max(math.Abs(f-float64(i)/n), math.Abs(float64(i+1)/n-f)))
-	}
-	return loglik, ks
-}
-
 // FitBest returns the family with the smallest KS statistic.
 func FitBest(xs []float64) (Fit, error) {
 	fits, err := FitAll(xs)
-	if err != nil {
-		return Fit{}, err
-	}
-	return fits[0], nil
-}
-
-// FitBestSorted is FitBest on an already-sorted sample.
-func FitBestSorted(sorted []float64) (Fit, error) {
-	fits, err := FitAllSorted(sorted)
 	if err != nil {
 		return Fit{}, err
 	}

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -256,7 +255,7 @@ func TestLogLikelihoodFiniteness(t *testing.T) {
 }
 
 // exponentialLogLik is the exponential log-likelihood of positive xs.
-// fitAll's scoring sweep computes these three log-likelihoods term for
+// FitAll's scoring sweep computes these three log-likelihoods term for
 // term from the sample's shared logs; these standalone forms are the
 // reference it is checked against.
 func exponentialLogLik(e Exponential, xs []float64) float64 {
@@ -290,39 +289,28 @@ func logNormalLogLik(l LogNormal, xs []float64) float64 {
 	return ll
 }
 
-// TestFitAllAICMatchesReferenceLogLik pins fitAll's scoring sweep, which
+// TestFitAllAICMatchesReferenceLogLik pins FitAll's scoring sweep, which
 // reads each observation's log from the sample's one log pass, to the
-// standalone log-likelihoods bit for bit, on both entry points.
+// standalone log-likelihoods bit for bit.
 func TestFitAllAICMatchesReferenceLogLik(t *testing.T) {
 	truth, _ := NewWeibull(0.8, 40)
 	xs := sampleN(truth, 3000, 11)
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	for name, fit := range map[string]func() ([]Fit, error){
-		"FitAll":       func() ([]Fit, error) { return FitAll(xs) },
-		"FitAllSorted": func() ([]Fit, error) { return FitAllSorted(sorted) },
-	} {
-		fits, err := fit()
-		if err != nil {
-			t.Fatal(err)
+	fits, err := FitAll(xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fits {
+		var want float64
+		switch d := f.Dist.(type) {
+		case Exponential:
+			want = 2 - 2*exponentialLogLik(d, xs)
+		case Weibull:
+			want = 4 - 2*weibullLogLik(d, xs)
+		case LogNormal:
+			want = 4 - 2*logNormalLogLik(d, xs)
 		}
-		sample := xs
-		if name == "FitAllSorted" {
-			sample = sorted
-		}
-		for _, f := range fits {
-			var want float64
-			switch d := f.Dist.(type) {
-			case Exponential:
-				want = 2 - 2*exponentialLogLik(d, sample)
-			case Weibull:
-				want = 4 - 2*weibullLogLik(d, sample)
-			case LogNormal:
-				want = 4 - 2*logNormalLogLik(d, sample)
-			}
-			if math.Float64bits(want) != math.Float64bits(f.AIC) {
-				t.Errorf("%s %s: AIC %v, reference %v", name, f.Name, f.AIC, want)
-			}
+		if math.Float64bits(want) != math.Float64bits(f.AIC) {
+			t.Errorf("%s: AIC %v, reference %v", f.Name, f.AIC, want)
 		}
 	}
 }

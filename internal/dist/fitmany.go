@@ -26,23 +26,3 @@ func FitAllMany(samples [][]float64, parallelism int) []SampleFits {
 	})
 	return out
 }
-
-// FitAllManySorted is FitAllMany over already-sorted samples: each sample
-// goes through FitAllSorted, so the batch performs zero sorts — the
-// fan-out form the analysis index's per-category sorted arenas feed.
-func FitAllManySorted(samples [][]float64, parallelism int) []SampleFits {
-	out, _ := parallel.Map(context.Background(), parallelism, samples, func(_ context.Context, _ int, sorted []float64) (SampleFits, error) {
-		fits, err := FitAllSorted(sorted)
-		return SampleFits{Fits: fits, Err: err}, nil
-	})
-	return out
-}
-
-// FitBestMany fits the best family to every sample with at most
-// parallelism workers, preserving sample order. The first failing sample
-// (lowest index) aborts the batch, matching a sequential FitBest loop.
-func FitBestMany(samples [][]float64, parallelism int) ([]Fit, error) {
-	return parallel.Map(context.Background(), parallelism, samples, func(_ context.Context, _ int, xs []float64) (Fit, error) {
-		return FitBest(xs)
-	})
-}

@@ -3,7 +3,6 @@ package dist
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -36,115 +35,4 @@ func TestFitAllSortsExactlyOnce(t *testing.T) {
 	if got := SortCount() - before; got != 1 {
 		t.Errorf("FitAll performed %d sample sorts, want exactly 1", got)
 	}
-}
-
-// TestFitAllSortedPerformsNoSort pins the arena path: a pre-sorted sample
-// must be scored without any sort at all.
-func TestFitAllSortedPerformsNoSort(t *testing.T) {
-	xs := weibullSample(10_000, 8)
-	sort.Float64s(xs)
-	before := SortCount()
-	fits, err := FitAllSorted(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fits) != 3 {
-		t.Fatalf("got %d families, want 3", len(fits))
-	}
-	if got := SortCount() - before; got != 0 {
-		t.Errorf("FitAllSorted performed %d sample sorts, want 0", got)
-	}
-}
-
-// TestFitAllSortedMatchesFitAll checks the fused sorted sweep produces
-// the same ranking and statistics as the general path. Parameters may
-// differ in the last ulp (accumulation order), so compare with a tight
-// relative tolerance rather than bit equality.
-func TestFitAllSortedMatchesFitAll(t *testing.T) {
-	xs := weibullSample(20_000, 9)
-	want, err := FitAll(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	got, err := FitAllSorted(sorted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("family count %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Name != want[i].Name {
-			t.Errorf("rank %d: %s vs %s", i, got[i].Name, want[i].Name)
-		}
-		if relDiff(got[i].KS, want[i].KS) > 1e-9 {
-			t.Errorf("%s: KS %v vs %v", want[i].Name, got[i].KS, want[i].KS)
-		}
-		if relDiff(got[i].AIC, want[i].AIC) > 1e-9 {
-			t.Errorf("%s: AIC %v vs %v", want[i].Name, got[i].AIC, want[i].AIC)
-		}
-	}
-}
-
-func TestFitAllSortedRejectsUnsorted(t *testing.T) {
-	if _, err := FitAllSorted([]float64{3, 1, 2}); err == nil {
-		t.Error("unsorted input must be rejected")
-	}
-}
-
-func TestFitBestSortedMatchesFitBest(t *testing.T) {
-	xs := weibullSample(5_000, 10)
-	want, err := FitBest(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	got, err := FitBestSorted(sorted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != want.Name {
-		t.Errorf("best family %s vs %s", got.Name, want.Name)
-	}
-}
-
-// TestFitAllManySortedMatchesPerSample pins the batch arena entry point
-// to its per-sample form under several pool widths.
-func TestFitAllManySortedMatchesPerSample(t *testing.T) {
-	samples := [][]float64{
-		weibullSample(500, 11),
-		weibullSample(700, 12),
-		{-1, -2}, // no family fits: per-sample error, batch continues
-	}
-	for i := range samples[:2] {
-		sort.Float64s(samples[i])
-	}
-	for _, width := range []int{1, 2, 4} {
-		got := FitAllManySorted(samples, width)
-		if len(got) != len(samples) {
-			t.Fatalf("width %d: got %d results, want %d", width, len(got), len(samples))
-		}
-		for i, sf := range got[:2] {
-			want, err := FitAllSorted(samples[i])
-			if err != nil || sf.Err != nil {
-				t.Fatalf("width %d sample %d: %v / %v", width, i, err, sf.Err)
-			}
-			if len(sf.Fits) != len(want) || sf.Fits[0].Name != want[0].Name {
-				t.Errorf("width %d sample %d: batch ranking diverged", width, i)
-			}
-		}
-		if got[2].Err == nil {
-			t.Errorf("width %d: unfittable sample must carry its error", width)
-		}
-	}
-}
-
-func relDiff(a, b float64) float64 {
-	if a == b {
-		return 0
-	}
-	return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
 }

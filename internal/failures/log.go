@@ -56,6 +56,44 @@ func NewLogSorted(system System, records []Failure) (*Log, error) {
 	return &Log{system: system, records: records}, nil
 }
 
+// NewLogOwned builds a log from records the caller gives up: the log
+// keeps the slice itself, so the caller must not use it afterwards.
+// Records that are all UTC and strictly ascending in (time, ID) — what
+// the generator and an ordered trace produce — are adopted after
+// NewLogSorted's validation pass. Anything else is validated, normalized
+// to UTC and sorted in place, exactly as SortBatch does, minus the copy.
+// Either way the log equals NewLog(system, records).
+func NewLogOwned(system System, records []Failure) (*Log, error) {
+	if ascendingUTC(records) {
+		return NewLogSorted(system, records)
+	}
+	if err := sortInPlace(system, records); err != nil {
+		return nil, err
+	}
+	return &Log{system: system, records: records}, nil
+}
+
+// ascendingUTC reports whether every record is UTC and the records are
+// strictly ascending in (time, ID): then NewLog would return them
+// unchanged, and NewLogSorted can adopt them. Equal keys make it false.
+// NewLog's sort is not stable, so for them only the sort itself says
+// which order results.
+func ascendingUTC(records []Failure) bool {
+	for i := range records {
+		if records[i].Time.Location() != time.UTC {
+			return false
+		}
+		if i == 0 {
+			continue
+		}
+		prev, cur := &records[i-1], &records[i]
+		if !prev.Time.Before(cur.Time) && (!prev.Time.Equal(cur.Time) || prev.ID >= cur.ID) {
+			return false
+		}
+	}
+	return true
+}
+
 // SortBatch validates records for system, normalizes occurrence times to
 // UTC, and returns them as a standalone ascending (time, ID)-sorted run —
 // the unit of incremental ingest. The input slice is not mutated. Cost is
@@ -65,21 +103,30 @@ func NewLogSorted(system System, records []Failure) (*Log, error) {
 // A SortBatch run feeds Log.AppendSorted, which merges it into a
 // committed log without revalidating or re-sorting the log.
 func SortBatch(system System, records []Failure) ([]Failure, error) {
-	if !system.Valid() {
-		return nil, fmt.Errorf("failures: invalid system %d", int(system))
-	}
 	sorted := append([]Failure(nil), records...)
-	for i := range sorted {
-		if sorted[i].System != system {
-			return nil, fmt.Errorf("failures: record %d belongs to %v, log is for %v", sorted[i].ID, sorted[i].System, system)
-		}
-		if err := sorted[i].Validate(); err != nil {
-			return nil, err
-		}
-		sorted[i].Time = sorted[i].Time.UTC()
+	if err := sortInPlace(system, sorted); err != nil {
+		return nil, err
 	}
-	SortByTime(sorted)
 	return sorted, nil
+}
+
+// sortInPlace is SortBatch on a slice it may mutate: validate each
+// record for system, normalize its time to UTC, then sort.
+func sortInPlace(system System, records []Failure) error {
+	if !system.Valid() {
+		return fmt.Errorf("failures: invalid system %d", int(system))
+	}
+	for i := range records {
+		if records[i].System != system {
+			return fmt.Errorf("failures: record %d belongs to %v, log is for %v", records[i].ID, records[i].System, system)
+		}
+		if err := records[i].Validate(); err != nil {
+			return err
+		}
+		records[i].Time = records[i].Time.UTC()
+	}
+	SortByTime(records)
+	return nil
 }
 
 // AppendSorted merges a SortBatch-produced run into the log, returning a

@@ -34,6 +34,9 @@ type Manifest struct {
 	// CPUSeconds is process-level user+system CPU time (0 where the
 	// platform does not expose rusage).
 	CPUSeconds float64 `json:"cpu_seconds"`
+	// MaxRSSMB is the process's peak resident set size in MB (2^20
+	// bytes), from the same rusage call (0 off unix).
+	MaxRSSMB float64 `json:"max_rss_mb"`
 
 	// Seeds are the deterministic seeds the run consumed, in use order.
 	Seeds []int64 `json:"seeds,omitempty"`
@@ -98,13 +101,14 @@ func (m *Manifest) SetRecordCount(label string, n int) {
 	m.RecordCounts[label] = n
 }
 
-// Finish stamps the end time, wall/CPU totals, and the metric snapshot.
+// Finish stamps the end time, wall/CPU totals, peak memory, and the
+// metric snapshot.
 // It is idempotent in the sense that a later Finish overwrites with
 // fresher values.
 func (m *Manifest) Finish() {
 	m.End = time.Now()
 	m.WallSeconds = m.End.Sub(m.Start).Seconds()
-	m.CPUSeconds = processCPUSeconds()
+	m.CPUSeconds, m.MaxRSSMB = processUsage()
 	m.Metrics = Take()
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -153,6 +154,11 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if back.WallSeconds < 0 || back.End.Before(back.Start) {
 		t.Errorf("timing fields inconsistent: %+v", back)
+	}
+	// A running process holds at least its binary's resident pages; a
+	// unit mix-up (bytes read as kilobytes) would report terabytes.
+	if runtime.GOOS == "linux" && !(back.MaxRSSMB > 0.5 && back.MaxRSSMB < 1<<20) {
+		t.Errorf("max_rss_mb = %v, want a live process's peak", back.MaxRSSMB)
 	}
 	if _, ok := back.Metrics.SpanByName("core/tbf"); !ok {
 		t.Errorf("metrics snapshot missing span: %+v", back.Metrics)

@@ -2,5 +2,5 @@
 
 package obs
 
-// processCPUSeconds is unavailable off unix; the manifest reports 0.
-func processCPUSeconds() float64 { return 0 }
+// processUsage is unavailable off unix; the manifest reports 0 for both.
+func processUsage() (cpuSeconds, maxRSSMB float64) { return 0, 0 }

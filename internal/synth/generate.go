@@ -32,21 +32,21 @@ func Generate(p *Profile, seed int64) (*failures.Log, error) {
 		rngCauses = dist.Fork(seed, p.Name+"/causes")
 	)
 
+	// Every stage writes into the one slice the log keeps: the exact
+	// category mix, shuffled in place, then the occurrence times.
 	n := p.TotalFailures()
-	times, err := generateTimes(p, n, rngTimes)
-	if err != nil {
-		return nil, err
-	}
-	categories := categoryMultiset(p, rngCats)
-
 	records := make([]failures.Failure, n)
-	for i := range records {
-		records[i] = failures.Failure{
-			ID:       i + 1,
-			System:   p.System,
-			Time:     times[i],
-			Category: categories[i],
+	next := 0
+	for _, c := range p.Categories {
+		for end := next + c.Count; next < end; next++ {
+			records[next] = failures.Failure{ID: next + 1, System: p.System, Category: c.Category}
 		}
+	}
+	rngCats.Shuffle(n, func(i, j int) {
+		records[i].Category, records[j].Category = records[j].Category, records[i].Category
+	})
+	if err := generateTimes(p, records, rngTimes); err != nil {
+		return nil, err
 	}
 
 	if err := assignSoftwareCauses(p, records, rngCauses); err != nil {
@@ -61,23 +61,15 @@ func Generate(p *Profile, seed int64) (*failures.Log, error) {
 	if err := assignGPUs(p, records, rngGPUs); err != nil {
 		return nil, err
 	}
-	return failures.NewLog(p.System, records)
+	return failures.NewLogOwned(p.System, records)
 }
 
-// GenerateMany produces one log per seed, fanning the independent
+// GenerateEach produces one log per seed, fanning the independent
 // generations out across a bounded worker pool. Generation is pure in
 // (profile, seed) and the profile is only read, so the i-th log is
-// byte-identical to Generate(p, seeds[i]); parallelism 1 reproduces the
-// sequential loop.
-func GenerateMany(p *Profile, seeds []int64, parallelism int) ([]*failures.Log, error) {
-	return parallel.Map(context.Background(), parallelism, seeds, func(_ context.Context, _ int, seed int64) (*failures.Log, error) {
-		return Generate(p, seed)
-	})
-}
-
-// GenerateEach is GenerateMany without the materialized batch: each log
-// is handed to fn as soon as its generation finishes, then released, so
-// peak memory is one log per pool worker rather than one per seed.
+// byte-identical to Generate(p, seeds[i]). Each log is handed to fn as
+// soon as its generation finishes, then released, so peak memory is one
+// log per pool worker rather than one per seed.
 // fn runs concurrently from pool workers and receives the seed's index
 // into seeds; it must do its own synchronization if consumers share
 // state. Cancelling ctx stops launching new seeds, lets in-flight ones
@@ -116,42 +108,31 @@ func GenerateBoth(seed int64) (t2, t3 *failures.Log, err error) {
 	return t2, t3, nil
 }
 
-// generateTimes draws n failure instants spanning [Start, End]. Gaps
-// follow a Weibull renewal process with the profile's shape (normalizing
-// the cumulative sums onto the window preserves the Weibull family, which
-// is closed under scaling); the normalized positions are then warped
-// through the monthly-intensity map to realize Figure 12's seasonality.
-func generateTimes(p *Profile, n int, rng *rand.Rand) ([]time.Time, error) {
+// generateTimes draws an occurrence time for every record, spanning
+// [Start, End] in record order. Gaps follow a Weibull renewal process
+// with the profile's shape (normalizing the cumulative sums onto the
+// window preserves the Weibull family, which is closed under scaling);
+// the normalized positions are then warped through the monthly-intensity
+// map to realize Figure 12's seasonality.
+func generateTimes(p *Profile, records []failures.Failure, rng *rand.Rand) error {
 	w, err := dist.NewWeibull(p.TBFShape, 1)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	n := len(records)
 	cum := make([]float64, n)
 	for i := 1; i < n; i++ {
 		cum[i] = cum[i-1] + w.Sample(rng)
 	}
 	total := cum[n-1]
 	if !(total > 0) {
-		return nil, fmt.Errorf("synth: degenerate gap sequence")
+		return fmt.Errorf("synth: degenerate gap sequence")
 	}
 	warp := newSeasonalWarp(p.Start, p.End, p.MonthlyCountWeights)
-	times := make([]time.Time, n)
-	for i := range times {
-		times[i] = warp.At(cum[i] / total)
+	for i := range records {
+		records[i].Time = warp.At(cum[i] / total)
 	}
-	return times, nil
-}
-
-// categoryMultiset returns the exact category mix in random order.
-func categoryMultiset(p *Profile, rng *rand.Rand) []failures.Category {
-	out := make([]failures.Category, 0, p.TotalFailures())
-	for _, c := range p.Categories {
-		for i := 0; i < c.Count; i++ {
-			out = append(out, c.Category)
-		}
-	}
-	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
+	return nil
 }
 
 // assignSoftwareCauses distributes the exact root-locus mix over the
@@ -160,7 +141,11 @@ func assignSoftwareCauses(p *Profile, records []failures.Failure, rng *rand.Rand
 	if len(p.SoftwareCauses) == 0 {
 		return nil
 	}
-	var causes []failures.SoftwareCause
+	total := 0
+	for _, c := range p.SoftwareCauses {
+		total += c.Count
+	}
+	causes := make([]failures.SoftwareCause, 0, total)
 	for _, c := range p.SoftwareCauses {
 		for i := 0; i < c.Count; i++ {
 			causes = append(causes, c.Cause)

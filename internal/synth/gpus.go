@@ -95,7 +95,13 @@ func (s *slotSampler) sample(k int, rng *rand.Rand) ([]int, error) {
 func assignGPUs(p *Profile, records []failures.Failure, rng *rand.Rand) error {
 	// records are in chronological order (times were generated sorted), so
 	// positions in gpuIdx are time-ordered too.
-	var gpuIdx []int
+	n := 0
+	for _, c := range p.Categories {
+		if c.Category == failures.CatGPU {
+			n += c.Count
+		}
+	}
+	gpuIdx := make([]int, 0, n)
 	for i := range records {
 		if records[i].Category == failures.CatGPU {
 			gpuIdx = append(gpuIdx, i)

@@ -22,7 +22,18 @@ func assignNodes(p *Profile, records []failures.Failure, rng *rand.Rand) error {
 	for _, c := range p.Categories {
 		attributable[c.Category] = c.NodeAttributable
 	}
-	var swIdx, hwIdx []int
+	// The category mix is exact, so the profile sizes both index lists.
+	var nSW, nHW int
+	for _, c := range p.Categories {
+		switch {
+		case !attributable[c.Category]:
+		case c.Category.Software():
+			nSW += c.Count
+		default:
+			nHW += c.Count
+		}
+	}
+	swIdx, hwIdx := make([]int, 0, nSW), make([]int, 0, nHW)
 	for i := range records {
 		if !attributable[records[i].Category] {
 			continue
@@ -53,7 +64,16 @@ func assignNodes(p *Profile, records []failures.Failure, rng *rand.Rand) error {
 	if err != nil {
 		return err
 	}
-	var singles, multis []string
+	// multis keeps room for the singles appended to it below.
+	nSingles, nMultis := 0, 0
+	for _, c := range counts {
+		if c == 1 {
+			nSingles++
+		} else {
+			nMultis += c
+		}
+	}
+	singles, multis := make([]string, 0, nSingles), make([]string, 0, nMultis+nSingles)
 	for i, c := range counts {
 		id := nodeID(chosen[i])
 		if c == 1 {
@@ -162,11 +182,13 @@ func drawNodeCounts(p *Profile, total int, _ *rand.Rand) ([]int, error) {
 		bucket[k-1]++
 		covered--
 	}
-	var counts []int
 	countKeys := make([]int, 0, len(bucket))
-	for k := range bucket {
+	affected := 0
+	for k, c := range bucket {
 		countKeys = append(countKeys, k)
+		affected += c
 	}
+	counts := make([]int, 0, affected)
 	sort.Ints(countKeys)
 	for _, k := range countKeys {
 		for i := 0; i < bucket[k]; i++ {
@@ -178,7 +200,7 @@ func drawNodeCounts(p *Profile, total int, _ *rand.Rand) ([]int, error) {
 
 // nodeSamplerPool recycles the Fenwick trees behind pickAffectedNodes.
 // The tree is sized by the fleet (O(NodeCount) float64s), by far the
-// largest transient of node assignment; pooling it means GenerateMany
+// largest transient of node assignment; pooling it means GenerateEach
 // builds it once per concurrent worker rather than once per seed.
 var nodeSamplerPool = sync.Pool{
 	New: func() any { return new(sample.Fenwick) },

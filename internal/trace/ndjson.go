@@ -255,8 +255,8 @@ func decodeNDJSON(data []byte, from, before int) ([]failures.Failure, error) {
 }
 
 // logFromParts joins the decoded parts, in input order, into one
-// exact-size slice and validates it as a log. Input already in the log's
-// order is taken over as is; anything else is copied and sorted.
+// exact-size slice and hands it to the log, which adopts input already
+// in the log's order and sorts anything else in place.
 func logFromParts(parts [][]failures.Failure) (*failures.Log, error) {
 	n := 0
 	for _, p := range parts {
@@ -269,36 +269,11 @@ func logFromParts(parts [][]failures.Failure) (*failures.Log, error) {
 	for _, p := range parts {
 		records = append(records, p...)
 	}
-	build := failures.NewLog
-	if ascendingUTC(records) {
-		build = failures.NewLogSorted
-	}
-	log, err := build(records[0].System, records)
+	log, err := failures.NewLogOwned(records[0].System, records)
 	if err != nil {
 		return nil, fmt.Errorf("trace: validating NDJSON log: %w", err)
 	}
 	return log, nil
-}
-
-// ascendingUTC reports whether every record is UTC and the records are
-// strictly ascending in (time, ID): then NewLog would return them
-// unchanged, and NewLogSorted can adopt them. Equal keys make it false.
-// NewLog's sort is not stable, so for them only NewLog itself says which
-// order results.
-func ascendingUTC(records []failures.Failure) bool {
-	for i := range records {
-		if records[i].Time.Location() != time.UTC {
-			return false
-		}
-		if i == 0 {
-			continue
-		}
-		prev, cur := &records[i-1], &records[i]
-		if !prev.Time.Before(cur.Time) && (!prev.Time.Equal(cur.Time) || prev.ID >= cur.ID) {
-			return false
-		}
-	}
-	return true
 }
 
 // ParseNDJSONRecord parses one NDJSON wire line into a Failure. It is the

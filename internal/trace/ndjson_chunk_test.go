@@ -223,31 +223,6 @@ func TestReadNDJSONMatchesOracleCases(t *testing.T) {
 	}
 }
 
-// TestAscendingUTCIsStrict pins when the reader adopts its input without
-// NewLog's sort. A (time, ID) tie must not qualify: NewLog's sort is not
-// stable, so only it can say how tied records end up.
-func TestAscendingUTCIsStrict(t *testing.T) {
-	at := time.Date(2016, time.January, 1, 0, 0, 0, 0, time.UTC)
-	rec := func(id int, t time.Time) failures.Failure { return failures.Failure{ID: id, Time: t} }
-	for _, c := range []struct {
-		name    string
-		records []failures.Failure
-		want    bool
-	}{
-		{"ascending times", []failures.Failure{rec(2, at), rec(1, at.Add(time.Second))}, true},
-		{"equal times, ascending IDs", []failures.Failure{rec(1, at), rec(2, at)}, true},
-		{"tie", []failures.Failure{rec(1, at), rec(1, at)}, false},
-		{"descending IDs", []failures.Failure{rec(2, at), rec(1, at)}, false},
-		{"descending times", []failures.Failure{rec(1, at.Add(time.Second)), rec(2, at)}, false},
-		{"offset zone", []failures.Failure{rec(1, at.In(time.FixedZone("", 3600)))}, false},
-		{"local zone", []failures.Failure{rec(1, at.In(time.Local))}, false},
-	} {
-		if got := ascendingUTC(c.records); got != c.want {
-			t.Errorf("%s: ascendingUTC = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
 // TestReadersBlankLineMemory is the "k × input bytes + c" budget of the
 // text readers: 2 MiB of blank lines around one record must not reserve
 // a 120-byte record per newline (240 MB), and must decode like the

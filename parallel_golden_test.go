@@ -137,17 +137,19 @@ func TestAnalyzeParallelMatchesAnalyze(t *testing.T) {
 	}
 }
 
-// TestGenerateManyMatchesSequential: multi-seed generation must be pure
-// in (profile, seed) regardless of pool width.
+// TestGenerateManyMatchesSequential: multi-seed generation through
+// synth.GenerateEach must be pure in (profile, seed) regardless of pool
+// width, and hand each seed's log over under that seed's index.
 func TestGenerateManyMatchesSequential(t *testing.T) {
 	p := synth.Tsubame2Profile()
 	seeds := []int64{1, 2, 3, 4, 5, 6}
-	par, err := synth.GenerateMany(p, seeds, 4)
+	par := make([]*failures.Log, len(seeds))
+	err := synth.GenerateEach(context.Background(), p, seeds, 4, func(i int, log *failures.Log) error {
+		par[i] = log
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(par) != len(seeds) {
-		t.Fatalf("got %d logs, want %d", len(par), len(seeds))
 	}
 	for i, seed := range seeds {
 		seq, err := synth.Generate(p, seed)
