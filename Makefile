@@ -109,9 +109,10 @@ profile-gen:
 	$(GO) test -bench='^BenchmarkPerfGenerateEncode100k$$' -benchtime=20x -run='^$$' \
 		-cpuprofile PROFILE_gen_cpu.out -memprofile PROFILE_gen_mem.out .
 
-## fuzz-smoke: 90 s of coverage-guided fuzzing on the trace parsers and
-## the Weibull fit's Pow kernel, 15 s per target. Go permits one -fuzz
-## target per invocation, so the six targets run back to back.
+## fuzz-smoke: 105 s of coverage-guided fuzzing on the trace parsers,
+## the Weibull fit's Pow kernel and the radix sort kernel, 15 s per
+## target. Go permits one -fuzz target per invocation, so the seven
+## targets run back to back.
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzReadCSV$$' -fuzztime=15s -run='^$$' ./internal/trace/
 	$(GO) test -fuzz='^FuzzReadNDJSON$$' -fuzztime=15s -run='^$$' ./internal/trace/
@@ -119,6 +120,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzParseNDJSONRecord$$' -fuzztime=15s -run='^$$' ./internal/trace/
 	$(GO) test -fuzz='^FuzzReadTSBC$$' -fuzztime=15s -run='^$$' ./internal/trace/
 	$(GO) test -fuzz='^FuzzPowKernel$$' -fuzztime=15s -run='^$$' ./internal/dist/
+	$(GO) test -fuzz='^FuzzSortFloat64s$$' -fuzztime=15s -run='^$$' ./internal/stats/
 
 ## remediate-smoke: CLI contracts of the closed-loop policy comparison —
 ## the canonical tsubame-remediate report must match the committed e2e

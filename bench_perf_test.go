@@ -131,7 +131,9 @@ func BenchmarkPerfAnalyzeReport100k(b *testing.B) {
 
 // BenchmarkPerfIndexBuild100k measures a cold index: one View built and
 // every facet the analysis battery touches forced exactly once. This is
-// the fixed cost the memoization amortizes across phases.
+// the fixed cost the memoization amortizes across phases. The hardware
+// and software recovery arenas are left out: only core.TTRSpread, which
+// the battery does not run, reads them.
 func BenchmarkPerfIndexBuild100k(b *testing.B) {
 	log := perfLog(b)
 	b.ResetTimer()
@@ -143,8 +145,6 @@ func BenchmarkPerfIndexBuild100k(b *testing.B) {
 		ix.GPURecords()
 		ix.SortedInterarrivalHours()
 		ix.SortedRecoveryHours()
-		ix.SortedHardwareRecoveryHours()
-		ix.SortedSoftwareRecoveryHours()
 		ix.SortedMonthlyRecoveryHours()
 		ix.MonthlyCounts()
 		for cat := range ix.CategoryCounts() {
@@ -154,14 +154,15 @@ func BenchmarkPerfIndexBuild100k(b *testing.B) {
 	}
 }
 
-// BenchmarkPerfSummarize100k measures the single-sort descriptive
-// summary on an unsorted 100k sample (the allocation-regression test in
-// internal/stats pins its allocation count).
+// BenchmarkPerfSummarize100k measures the descriptive summary of the
+// 100k recovery sample as the TTR phases compute it: a cold index sorts
+// the recovery arena (stats.SortFloat64s), then stats.SummarizeSorted
+// reads it.
 func BenchmarkPerfSummarize100k(b *testing.B) {
-	hours := perfLog(b).RecoveryHours()
+	log := perfLog(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stats.Summarize(hours); err != nil {
+		if _, err := stats.SummarizeSorted(index.New(log).SortedRecoveryHours()); err != nil {
 			b.Fatal(err)
 		}
 	}

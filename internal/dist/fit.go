@@ -6,6 +6,8 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
+
+	"repro/internal/stats"
 )
 
 // ErrInfiniteObservation is the error FitWeibull wraps for a sample
@@ -191,15 +193,13 @@ type family struct {
 // that fail to fit are omitted; an error is returned only when no family
 // fits.
 //
-// The sample is cloned and sorted exactly once, and every family's KS
-// statistic reads the shared sorted buffer — previously each family
-// re-cloned and re-sorted the sample. The sample's logs are taken once
-// and shared by the fits and the log-likelihoods, which accumulate in xs
-// order.
+// Once a family has fitted, the sample is cloned and sorted exactly once,
+// and every family's KS statistic reads the shared sorted buffer. A
+// family fits only when every observation is positive, so the sort never
+// sees NaN or a zero, and stats.SortFloat64s orders it bit-identically to
+// sort.Float64s. The sample's logs are taken once and shared by the fits
+// and the log-likelihoods, which accumulate in xs order.
 func FitAll(xs []float64) ([]Fit, error) {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	fitSortCount.Add(1)
 	var families []family
 	// A non-positive observation fails every family, as does the empty
 	// sample.
@@ -228,6 +228,9 @@ func FitAll(xs []float64) ([]Fit, error) {
 	if len(families) == 0 {
 		return nil, fmt.Errorf("dist: no distribution family fits the sample (n=%d)", len(xs))
 	}
+	sorted := append([]float64(nil), xs...)
+	stats.SortFloat64s(sorted)
+	fitSortCount.Add(1)
 	fits := make([]Fit, len(families))
 	for i, fam := range families {
 		var ll float64
@@ -250,12 +253,85 @@ func FitBest(xs []float64) (Fit, error) {
 	return fits[0], nil
 }
 
-// ksStatisticSorted computes the one-sample KS statistic over an already-
-// sorted sample. It mirrors stats.KSOneSample minus the clone-and-sort;
-// dist deliberately has no dependency on other internal packages. The
-// fitting path sorts once and scores every family against the shared
-// buffer — this function must never re-derive the order itself.
+// The certified KS search's coarse step and leaf size (ksStatisticSorted).
+const (
+	ksStep = 64
+	ksLeaf = 8
+	// ksMargin absorbs the CDFs' rounding: the fitted families' CDFs are
+	// expm1/Pow/Erfc compositions accurate to a few ulps (~1e-16), so a
+	// computed F may fall below a smaller x's by that much. 2^-30 leaves
+	// six orders of magnitude to spare.
+	ksMargin = 0x1p-30
+)
+
+// ksStatisticSorted computes the one-sample KS statistic
+// max_i max(|F_i - i/n|, |(i+1)/n - F_i|) over a sample sorted as
+// sort.Float64s sorts (NaNs first), returning the same float64 as
+// ksScan, which evaluates the CDF at every order statistic. The fitting
+// path sorts once and scores every family against the shared buffer;
+// this function must never re-derive the order itself.
+//
+// It evaluates far fewer points. Between two evaluated order statistics
+// a < b, F is monotone and float subtraction and division round
+// monotonically, so every interior candidate is at most
+// max(F_b - (a+1)/n, b/n - F_a). When that bound plus ksMargin is at most
+// the d found so far, no interior point can raise d and the gap is
+// skipped; otherwise it is split at its midpoint, or scanned once it is
+// ksLeaf points or shorter. math.Max picks the same value in any order,
+// so d has the same bits. A sample holding NaN or ±Inf, or a CDF that
+// returns NaN at an evaluated point, takes ksScan, so NaN propagates as
+// it always has.
 func ksStatisticSorted(sorted []float64, cdf func(float64) float64) float64 {
+	n := len(sorted)
+	if n <= ksLeaf {
+		return ksScan(sorted, cdf)
+	}
+	if lo, hi := sorted[0], sorted[n-1]; math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+		return ksScan(sorted, cdf)
+	}
+	nf := float64(n)
+	var d float64
+	score := func(i int) float64 {
+		f := cdf(sorted[i])
+		d = math.Max(d, math.Max(math.Abs(f-float64(i)/nf), math.Abs(float64(i+1)/nf-f)))
+		return f
+	}
+	var refine func(a, b int, fa, fb float64)
+	refine = func(a, b int, fa, fb float64) {
+		if b-a < 2 || math.Max(fb-float64(a+1)/nf, float64(b)/nf-fa)+ksMargin <= d {
+			return
+		}
+		if b-a <= ksLeaf {
+			for i := a + 1; i < b; i++ {
+				score(i)
+			}
+			return
+		}
+		m := a + (b-a)/2
+		fm := score(m)
+		refine(a, m, fa, fm)
+		refine(m, b, fm, fb)
+	}
+
+	// The coarse pass comes first so that d is near its final value
+	// before any gap is tested.
+	at := func(j int) int { return min(j*ksStep, n-1) }
+	fs := make([]float64, (n-2)/ksStep+2)
+	for j := range fs {
+		fs[j] = score(at(j))
+	}
+	for j := 1; j < len(fs); j++ {
+		refine(at(j-1), at(j), fs[j-1], fs[j])
+	}
+	if math.IsNaN(d) {
+		return ksScan(sorted, cdf) // an evaluated F was NaN
+	}
+	return d
+}
+
+// ksScan is the KS statistic with the CDF evaluated at every order
+// statistic.
+func ksScan(sorted []float64, cdf func(float64) float64) float64 {
 	n := float64(len(sorted))
 	var d float64
 	for i, x := range sorted {

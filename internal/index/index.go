@@ -39,6 +39,7 @@ import (
 
 	"repro/internal/failures"
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 // View is the memoized read-only index over one log. Construct with New;
@@ -468,12 +469,14 @@ func recoveryHours(records []failures.Failure) []float64 {
 	return out
 }
 
-// sortedCopy clones and ascending-sorts a sample; nil in, nil out.
+// sortedCopy clones and ascending-sorts a sample; nil in, nil out. Every
+// arena holds time.Duration.Hours values, which are never NaN or -0, so
+// stats.SortFloat64s orders them bit-identically to sort.Float64s.
 func sortedCopy(xs []float64) []float64 {
 	if len(xs) == 0 {
 		return nil
 	}
 	out := append([]float64(nil), xs...)
-	sort.Float64s(out)
+	stats.SortFloat64s(out)
 	return out
 }

@@ -4,9 +4,9 @@
 // goodness-of-fit statistics, and Kaplan-Meier survival estimation.
 //
 // All functions operate on plain []float64 samples, never mutate their
-// inputs, and are safe for concurrent use. Functions that require data
-// return an error (or NaN where documented) on empty input rather than
-// panicking.
+// inputs (except SortFloat64s, which sorts in place), and are safe for
+// concurrent use. Functions that require data return an error (or NaN
+// where documented) on empty input rather than panicking.
 package stats
 
 import (

@@ -94,8 +94,8 @@ func WriteCSV(w io.Writer, log *failures.Log) error {
 //
 // The input is slurped into a pooled buffer and the record slice is
 // pre-sized from its line count (bounded by its size, see presize), so
-// a load performs one input read and one record-slice allocation
-// regardless of log size.
+// a load performs one input read and one record-slice allocation,
+// which the log keeps (failures.NewLogOwned), regardless of log size.
 func ReadCSV(r io.Reader) (*failures.Log, error) {
 	defer obs.StartSpan("trace/read-csv").End()
 	buf, err := slurp(r)
@@ -146,7 +146,7 @@ func ReadCSV(r io.Reader) (*failures.Log, error) {
 	if len(records) == 0 {
 		return nil, fmt.Errorf("trace: CSV contains no records")
 	}
-	log, err := failures.NewLog(system, records)
+	log, err := failures.NewLogOwned(system, records)
 	if err != nil {
 		return nil, fmt.Errorf("trace: validating CSV log: %w", err)
 	}

@@ -2,10 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/failures"
 	"repro/internal/synth"
 )
 
@@ -187,5 +190,55 @@ func TestReadCSVSortsUnsortedInput(t *testing.T) {
 	}
 	if recs[0].ID != 1 || recs[1].ID != 2 || recs[2].ID != 3 {
 		t.Errorf("sorted order wrong: got IDs %d,%d,%d", recs[0].ID, recs[1].ID, recs[2].ID)
+	}
+}
+
+// TestReadCSVShuffledTiesMatchNewLog: ReadCSV hands the records it parsed
+// to failures.NewLogOwned, which sorts them in place. On a shuffled file
+// whose times tie (every record truncated to its day) the log must equal
+// NewLog over the same records in file order.
+func TestReadCSVShuffledTiesMatchNewLog(t *testing.T) {
+	src, err := synth.GenerateSystem(failures.Tsubame2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := src.Records()
+	for i := range records {
+		records[i].Time = records[i].Time.Truncate(24 * time.Hour)
+	}
+	tied, err := failures.NewLog(failures.Tsubame2, records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, tied); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(buf.String(), "\n")
+	lines = lines[:len(lines)-1] // the empty string after the final newline
+	rows := lines[1:]
+	ordered, err := ReadCSV(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed := ordered.Records()
+	rand.New(rand.NewSource(29)).Shuffle(len(rows), func(i, j int) {
+		rows[i], rows[j] = rows[j], rows[i]
+		parsed[i], parsed[j] = parsed[j], parsed[i]
+	})
+
+	got, err := ReadCSV(strings.NewReader(strings.Join(lines, "")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := failures.NewLog(failures.Tsubame2, parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Records(), want.Records()) {
+		t.Error("ReadCSV of the shuffled file differs from NewLog over its records")
+	}
+	if !reflect.DeepEqual(got.Records(), ordered.Records()) {
+		t.Error("ReadCSV of the shuffled file differs from ReadCSV of the ordered one")
 	}
 }
