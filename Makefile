@@ -131,8 +131,9 @@ remediate-smoke:
 
 ## convert-smoke: lossless-conversion gate for the columnar data plane —
 ## generate a 100k-record trace, convert NDJSON -> .tsbc -> NDJSON, and
-## require byte identity, plus a streaming .tsbc digest byte-identical
-## to the batch CSV digest (docs/TRACE-FORMAT.md). Set CONVERT_SMOKE_DIR
+## require byte identity, at GOMAXPROCS=1 and GOMAXPROCS=4 with the
+## files of the two widths identical, plus a streaming .tsbc digest
+## byte-identical to the batch CSV digest (docs/TRACE-FORMAT.md). Set CONVERT_SMOKE_DIR
 ## to keep the intermediate files for inspection on failure.
 convert-smoke:
 	$(GO) test ./e2e -run '^TestConvertSmoke' -count=1 -v

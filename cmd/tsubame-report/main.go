@@ -7,21 +7,19 @@
 //
 //	tsubame-report                      # synthetic logs, seed 42
 //	tsubame-report -seed 7
-//	tsubame-report -t2 old.csv -t3 new.csv
+//	tsubame-report -t2 old.csv -t3 new.tsbc  # any of csv, ndjson, tsbc (.gz too)
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/failures"
 	"repro/internal/report"
 	"repro/internal/synth"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -29,8 +27,8 @@ func main() {
 	log.SetPrefix("tsubame-report: ")
 	var (
 		seed       = flag.Int64("seed", 42, "seed for the synthetic logs")
-		t2Path     = flag.String("t2", "", "Tsubame-2 log CSV (default: synthetic)")
-		t3Path     = flag.String("t3", "", "Tsubame-3 log CSV (default: synthetic)")
+		t2Path     = flag.String("t2", "", "Tsubame-2 log: csv, ndjson or tsbc, optionally .gz (default: synthetic)")
+		t3Path     = flag.String("t3", "", "Tsubame-3 log: csv, ndjson or tsbc, optionally .gz (default: synthetic)")
 		markdown   = flag.Bool("markdown", false, "emit a markdown document instead of text plots")
 		extensions = flag.Bool("extensions", false, "append the extension analyses (drift, spatial, survival, rolling MTBF)")
 		manifest   = cli.ManifestFlag()
@@ -90,22 +88,13 @@ func loadLogs(seed int64, t2Path, t3Path string) (t2, t3 *failures.Log, err erro
 	if t2Path == "" || t3Path == "" {
 		return nil, nil, fmt.Errorf("supply both -t2 and -t3, or neither")
 	}
-	t2, err = readCSVFile(t2Path)
+	t2, err = cli.LoadLogFile(t2Path)
 	if err != nil {
 		return nil, nil, err
 	}
-	t3, err = readCSVFile(t3Path)
+	t3, err = cli.LoadLogFile(t3Path)
 	if err != nil {
 		return nil, nil, err
 	}
 	return t2, t3, nil
-}
-
-func readCSVFile(path string) (*failures.Log, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return trace.ReadCSV(f)
 }

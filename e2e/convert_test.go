@@ -57,6 +57,44 @@ func TestTSBCPipeline(t *testing.T) {
 	}
 }
 
+// TestReportInputFormats pins tsubame-report's one input path: the
+// CSV, NDJSON and .tsbc forms of the same two logs print the same
+// report. The NDJSON and .tsbc files are converted from the CSV ones, so
+// they hold the CSV's recoveries, snapped to its grid.
+func TestReportInputFormats(t *testing.T) {
+	dir := t.TempDir()
+	paths := map[string][2]string{}
+	for _, format := range []string{"csv", "ndjson", "tsbc"} {
+		paths[format] = [2]string{filepath.Join(dir, "t2."+format), filepath.Join(dir, "t3."+format)}
+	}
+	for i, system := range []string{"t2", "t3"} {
+		if _, stderr, code := run(t, "tsubame-gen", "-system", system, "-seed", "42", "-out", paths["csv"][i]); code != 0 {
+			t.Fatalf("gen %s exited %d: %s", system, code, stderr)
+		}
+		for _, format := range []string{"ndjson", "tsbc"} {
+			if _, stderr, code := run(t, "tsubame-convert", "-in", paths["csv"][i], "-out", paths[format][i]); code != 0 {
+				t.Fatalf("convert %s to %s exited %d: %s", system, format, code, stderr)
+			}
+		}
+	}
+	want, stderr, code := run(t, "tsubame-report", "-t2", paths["csv"][0], "-t3", paths["csv"][1])
+	if code != 0 {
+		t.Fatalf("report on csv exited %d: %s", code, stderr)
+	}
+	if !strings.HasPrefix(want, "Table I.") {
+		t.Fatalf("report on csv lacks Table I:\n%s", want)
+	}
+	for _, format := range []string{"ndjson", "tsbc"} {
+		got, stderr, code := run(t, "tsubame-report", "-t2", paths[format][0], "-t3", paths[format][1])
+		if code != 0 {
+			t.Fatalf("report on %s exited %d: %s", format, code, stderr)
+		}
+		if got != want {
+			t.Errorf("report on %s differs from report on csv\nfirst divergence: %s", format, firstDiff(want, got))
+		}
+	}
+}
+
 // TestConvertRoundTrip pins losslessness on the committed seed-42 trace:
 // NDJSON -> .tsbc -> NDJSON must reproduce the input byte for byte, and
 // the format override (-format against a mismatched extension) must win.
@@ -130,8 +168,10 @@ func TestUnrecognizableInputExitTwo(t *testing.T) {
 const convertSmokeScale = 296
 
 // TestConvertSmoke is the blocking convert-smoke CI gate: a 100k-record
-// trace through NDJSON -> .tsbc -> NDJSON must be byte-identical, and
-// the streaming .tsbc digest must match the batch digest byte for byte.
+// trace through NDJSON -> .tsbc -> NDJSON must be byte-identical, at
+// GOMAXPROCS=1 and at GOMAXPROCS=4 alike, the NDJSON and .tsbc files of
+// the two widths must be identical, and the streaming .tsbc digest must
+// match the batch digest byte for byte.
 // With CONVERT_SMOKE_DIR set, intermediates are written there and kept,
 // so a failing CI run uploads them as the diff artifact.
 func TestConvertSmoke(t *testing.T) {
@@ -165,39 +205,60 @@ func TestConvertSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ndjson := filepath.Join(dir, "big.ndjson")
-	tsbc := filepath.Join(dir, "big.tsbc")
-	back := filepath.Join(dir, "back.ndjson")
-	csv := filepath.Join(dir, "big.csv")
-	if _, stderr, code := run(t, "tsubame-gen", "-profile", profilePath, "-seed", "42", "-format", "ndjson", "-out", ndjson); code != 0 {
-		t.Fatalf("gen exited %d: %s", code, stderr)
-	}
-	if _, stderr, code := run(t, "tsubame-convert", "-in", ndjson, "-out", tsbc); code != 0 {
-		t.Fatalf("convert to tsbc exited %d: %s", code, stderr)
-	}
-	if _, stderr, code := run(t, "tsubame-convert", "-in", tsbc, "-out", back); code != 0 {
-		t.Fatalf("convert back exited %d: %s", code, stderr)
-	}
-	orig, err := os.ReadFile(ndjson)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(orig, got) {
-		t.Fatalf("100k-record NDJSON -> tsbc -> NDJSON round trip is not byte-identical (intermediates in %s)\nfirst divergence: %s",
-			dir, firstDiff(string(orig), string(got)))
-	}
-	tsbcInfo, err := os.Stat(tsbc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tsbcInfo.Size() >= int64(len(orig)) {
-		t.Errorf("tsbc (%d bytes) is not smaller than NDJSON (%d bytes)", tsbcInfo.Size(), len(orig))
+	// The round trip runs at two pool widths: the codecs fan out over
+	// GOMAXPROCS, and every file must come out the same at both.
+	var ndjson, tsbc string
+	for _, width := range []string{"1", "4"} {
+		env := []string{"GOMAXPROCS=" + width}
+		w := func(name string) string { return filepath.Join(dir, "w"+width+"-"+name) }
+		if _, stderr, code := runEnv(t, env, "tsubame-gen", "-profile", profilePath, "-seed", "42", "-format", "ndjson", "-out", w("big.ndjson")); code != 0 {
+			t.Fatalf("GOMAXPROCS=%s: gen exited %d: %s", width, code, stderr)
+		}
+		if _, stderr, code := runEnv(t, env, "tsubame-convert", "-in", w("big.ndjson"), "-out", w("big.tsbc")); code != 0 {
+			t.Fatalf("GOMAXPROCS=%s: convert to tsbc exited %d: %s", width, code, stderr)
+		}
+		if _, stderr, code := runEnv(t, env, "tsubame-convert", "-in", w("big.tsbc"), "-out", w("back.ndjson")); code != 0 {
+			t.Fatalf("GOMAXPROCS=%s: convert back exited %d: %s", width, code, stderr)
+		}
+		orig, err := os.ReadFile(w("big.ndjson"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(w("back.ndjson"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(orig, got) {
+			t.Fatalf("GOMAXPROCS=%s: 100k-record NDJSON -> tsbc -> NDJSON round trip is not byte-identical (intermediates in %s)\nfirst divergence: %s",
+				width, dir, firstDiff(string(orig), string(got)))
+		}
+		tsbcInfo, err := os.Stat(w("big.tsbc"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tsbcInfo.Size() >= int64(len(orig)) {
+			t.Errorf("tsbc (%d bytes) is not smaller than NDJSON (%d bytes)", tsbcInfo.Size(), len(orig))
+		}
+		if ndjson == "" {
+			ndjson, tsbc = w("big.ndjson"), w("big.tsbc")
+			continue
+		}
+		for _, pair := range [][2]string{{ndjson, w("big.ndjson")}, {tsbc, w("big.tsbc")}} {
+			a, err := os.ReadFile(pair[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(pair[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Fatalf("%s and %s differ: the output depends on GOMAXPROCS (intermediates in %s)", pair[0], pair[1], dir)
+			}
+		}
 	}
 
+	csv := filepath.Join(dir, "big.csv")
 	if _, stderr, code := run(t, "tsubame-convert", "-in", ndjson, "-out", csv); code != 0 {
 		t.Fatalf("convert to csv exited %d: %s", code, stderr)
 	}

@@ -76,7 +76,17 @@ func bin(tool string) string { return filepath.Join(binDir, tool) }
 // run executes a tool and returns stdout, stderr, and the exit code.
 func run(t *testing.T, tool string, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
+	return runEnv(t, nil, tool, args...)
+}
+
+// runEnv is run with extra environment variables (KEY=value entries)
+// on top of the test process's own.
+func runEnv(t *testing.T, env []string, tool string, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
 	cmd := exec.Command(bin(tool), args...)
+	if env != nil {
+		cmd.Env = append(os.Environ(), env...)
+	}
 	var out, errBuf bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = &errBuf

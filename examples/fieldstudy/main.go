@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/failures"
 	"repro/internal/predict"
@@ -58,11 +59,11 @@ func main() {
 
 	// Stage 2: the analysis pipeline consumes the serialized logs exactly
 	// as it would consume real ones.
-	t2Back, err := readCSV(t2Path)
+	t2Back, err := cli.LoadLogFile(t2Path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	t3Back, err := readCSV(t3Path)
+	t3Back, err := cli.LoadLogFile(t3Path)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,13 +95,4 @@ func writeCSV(path string, l *failures.Log) error {
 		return err
 	}
 	return f.Close()
-}
-
-func readCSV(path string) (*failures.Log, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return trace.ReadCSV(f)
 }

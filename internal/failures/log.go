@@ -1,8 +1,11 @@
 package failures
 
 import (
+	"context"
 	"fmt"
 	"time"
+
+	"repro/internal/parallel"
 )
 
 // Log is a chronologically ordered failure log for one system. The zero
@@ -34,26 +37,56 @@ func NewLog(system System, records []Failure) (*Log, error) {
 // order with UTC occurrence times — the contract a .tsbc block stream
 // certifies, since its writer rejects out-of-order appends and its times
 // are decoded as UTC instants. Each record is still validated, and the
-// ordering is verified, in one linear pass; unlike NewLog the slice is
-// taken over without a copy or a sort, so bulk decoders skip the
-// dominant O(n log n) + O(n)-copy cost. The caller must not retain the
-// slice.
+// ordering is verified, in one linear pass, sharded over GOMAXPROCS
+// workers; unlike NewLog the slice is taken over without a copy or a
+// sort, so bulk decoders skip the dominant O(n log n) + O(n)-copy cost.
+// The caller must not retain the slice.
 func NewLogSorted(system System, records []Failure) (*Log, error) {
+	return newLogSorted(system, records, parallel.DefaultParallelism(), validateShard)
+}
+
+// validateShard is the number of records one NewLogSorted shard checks.
+const validateShard = 32 << 10
+
+// newLogSorted is NewLogSorted with the pool width and the shard size as
+// parameters. Each shard checks its records in order, the first one
+// against the last record of the shard before, and the error returned
+// is the lowest failing shard's first: the one a single pass over all
+// records meets first.
+func newLogSorted(system System, records []Failure, width, shard int) (*Log, error) {
 	if !system.Valid() {
 		return nil, fmt.Errorf("failures: invalid system %d", int(system))
 	}
-	for i := range records {
-		if records[i].System != system {
-			return nil, fmt.Errorf("failures: record %d belongs to %v, log is for %v", records[i].ID, records[i].System, system)
-		}
-		if err := records[i].Validate(); err != nil {
-			return nil, err
-		}
-		if i > 0 && chronoLess(records[i], records[i-1]) {
-			return nil, fmt.Errorf("failures: sorted run is unsorted at index %d (record %d)", i, records[i].ID)
-		}
+	// A log of one shard is checked inline, with none of the pool's
+	// allocations.
+	var err error
+	if len(records) <= shard {
+		err = checkSorted(system, records, parallel.Range{Lo: 0, Hi: len(records)})
+	} else {
+		err = parallel.ForEach(context.Background(), width, parallel.Shards(len(records), (len(records)+shard-1)/shard),
+			func(_ context.Context, _ int, r parallel.Range) error { return checkSorted(system, records, r) })
+	}
+	if err != nil {
+		return nil, err
 	}
 	return &Log{system: system, records: records}, nil
+}
+
+// checkSorted validates records[r.Lo:r.Hi] for system and checks each
+// is not before the record ahead of it, in or out of the range.
+func checkSorted(system System, records []Failure, r parallel.Range) error {
+	for i := r.Lo; i < r.Hi; i++ {
+		if records[i].System != system {
+			return fmt.Errorf("failures: record %d belongs to %v, log is for %v", records[i].ID, records[i].System, system)
+		}
+		if err := records[i].Validate(); err != nil {
+			return err
+		}
+		if i > 0 && chronoLess(records[i], records[i-1]) {
+			return fmt.Errorf("failures: sorted run is unsorted at index %d (record %d)", i, records[i].ID)
+		}
+	}
+	return nil
 }
 
 // NewLogOwned builds a log from records the caller gives up: the log

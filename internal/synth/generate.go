@@ -10,12 +10,19 @@ import (
 	"repro/internal/failures"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/sample"
 )
 
 // Generate produces a synthetic failure log for the profile. The result is
 // fully determined by (profile, seed): the same inputs always yield the
 // identical log, which keeps every downstream figure reproducible.
 func Generate(p *Profile, seed int64) (*failures.Log, error) {
+	return generate(p, seed, new(sample.Fenwick))
+}
+
+// generate is Generate with the node sampler to refill, which callers
+// generating many logs reuse.
+func generate(p *Profile, seed int64, sampler *sample.Fenwick) (*failures.Log, error) {
 	defer obs.StartSpan("synth/generate").End()
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -55,7 +62,7 @@ func Generate(p *Profile, seed int64) (*failures.Log, error) {
 	if err := assignRecoveries(p, records, rngTTR); err != nil {
 		return nil, err
 	}
-	if err := assignNodes(p, records, rngNodes); err != nil {
+	if err := assignNodes(p, records, rngNodes, sampler); err != nil {
 		return nil, err
 	}
 	if err := assignGPUs(p, records, rngGPUs); err != nil {
@@ -69,14 +76,27 @@ func Generate(p *Profile, seed int64) (*failures.Log, error) {
 // (profile, seed) and the profile is only read, so the i-th log is
 // byte-identical to Generate(p, seeds[i]). Each log is handed to fn as
 // soon as its generation finishes, then released, so peak memory is one
-// log per pool worker rather than one per seed.
+// log per pool worker rather than one per seed. Each worker owns one
+// node sampler and refills it for every seed it generates, so the
+// fleet-sized tree is built once per worker, not once per seed.
 // fn runs concurrently from pool workers and receives the seed's index
 // into seeds; it must do its own synchronization if consumers share
 // state. Cancelling ctx stops launching new seeds, lets in-flight ones
 // finish, and returns the context error.
 func GenerateEach(ctx context.Context, p *Profile, seeds []int64, parallelism int, fn func(i int, log *failures.Log) error) error {
+	// A sampler is made only while every earlier one is in flight, and
+	// at most one generation per worker is, so the free list holds at
+	// most one sampler per worker and returning one never blocks.
+	samplers := make(chan *sample.Fenwick, parallel.Width(parallelism, len(seeds)))
 	return parallel.ForEach(ctx, parallelism, seeds, func(_ context.Context, i int, seed int64) error {
-		log, err := Generate(p, seed)
+		var sampler *sample.Fenwick
+		select {
+		case sampler = <-samplers:
+		default:
+			sampler = new(sample.Fenwick)
+		}
+		log, err := generate(p, seed, sampler)
+		samplers <- sampler
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/failures"
+	"repro/internal/sample"
 )
 
 // oracleGenerate is Generate as it stood before the stages wrote into
@@ -53,7 +55,7 @@ func oracleGenerate(p *Profile, seed int64) (*failures.Log, error) {
 	if err := assignRecoveries(p, records, rngTTR); err != nil {
 		return nil, err
 	}
-	if err := assignNodes(p, records, rngNodes); err != nil {
+	if err := assignNodes(p, records, rngNodes, new(sample.Fenwick)); err != nil {
 		return nil, err
 	}
 	if err := assignGPUs(p, records, rngGPUs); err != nil {
@@ -165,10 +167,8 @@ func TestGenerateAllocBound(t *testing.T) {
 	if _, err := Generate(p, 42); err != nil {
 		t.Fatal(err)
 	}
-	// Two collections empty the node-sampler pool, so the count always
-	// includes its Fenwick tree rather than depending on GC timing.
-	runtime.GC()
-	runtime.GC()
+	// Generate builds its own node sampler, so the count always includes
+	// its Fenwick tree.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	log, err := Generate(p, 42)
@@ -182,5 +182,47 @@ func TestGenerateAllocBound(t *testing.T) {
 	t.Logf("%d records: %.2f record slices allocated", n, ratio)
 	if ratio > 2 {
 		t.Errorf("Generate allocated %.2f record slices for %d records, want <= 2", ratio, n)
+	}
+}
+
+// TestGenerateEachReusesNodeSampler pins the worker-owned node sampler:
+// a width-1 GenerateEach over six seeds builds the fleet-sized Fenwick
+// tree for the first seed only, even with collections forced between
+// seeds, which a sync.Pool-held sampler would not survive. The fleet is
+// scaled ×200 against an unscaled failure mix, so the tree dominates
+// what one generation allocates.
+func TestGenerateEachReusesNodeSampler(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what the runtime allocates")
+	}
+	p := Tsubame2Profile()
+	p.NodeCount *= 200
+	treeBytes := uint64(2 * 8 * p.NodeCount) // the tree and the weights, one float64 per node each
+	seeds := []int64{1, 2, 3, 4, 5, 6}
+	allocs := make([]uint64, 0, len(seeds))
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	last := ms.TotalAlloc
+	err := GenerateEach(context.Background(), p, seeds, 1, func(_ int, _ *failures.Log) error {
+		runtime.ReadMemStats(&ms)
+		allocs = append(allocs, ms.TotalAlloc-last)
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		last = ms.TotalAlloc
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("tree %d bytes; allocated per seed: %v", treeBytes, allocs)
+	if allocs[0] < treeBytes {
+		t.Fatalf("first seed allocated %d bytes, less than the %d-byte tree", allocs[0], treeBytes)
+	}
+	for i, a := range allocs[1:] {
+		if a >= treeBytes/2 {
+			t.Errorf("seed %d allocated %d bytes, as if it rebuilt the %d-byte tree", seeds[i+1], a, treeBytes)
+		}
 	}
 }

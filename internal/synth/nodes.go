@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
-	"sync"
 
 	"repro/internal/failures"
 	"repro/internal/sample"
@@ -16,8 +15,8 @@ import (
 // that the per-node failure-count distribution matches the profile's PMF
 // (Figure 4) and the number of software failures landing on multi-failure
 // nodes matches the profile target (the paper's RQ2 hardware/software
-// split).
-func assignNodes(p *Profile, records []failures.Failure, rng *rand.Rand) error {
+// split). sampler is the node sampler to refill (see pickAffectedNodes).
+func assignNodes(p *Profile, records []failures.Failure, rng *rand.Rand, sampler *sample.Fenwick) error {
 	attributable := make(map[failures.Category]bool, len(p.Categories))
 	for _, c := range p.Categories {
 		attributable[c.Category] = c.NodeAttributable
@@ -60,7 +59,7 @@ func assignNodes(p *Profile, records []failures.Failure, rng *rand.Rand) error {
 	// Pick distinct node IDs for the affected nodes, with hot racks
 	// over-represented (the rack-level spatial non-uniformity of the
 	// paper's related-work discussion).
-	chosen, err := pickAffectedNodes(p, len(counts), rng)
+	chosen, err := pickAffectedNodes(p, len(counts), rng, sampler)
 	if err != nil {
 		return err
 	}
@@ -198,31 +197,21 @@ func drawNodeCounts(p *Profile, total int, _ *rand.Rand) ([]int, error) {
 	return counts, nil
 }
 
-// nodeSamplerPool recycles the Fenwick trees behind pickAffectedNodes.
-// The tree is sized by the fleet (O(NodeCount) float64s), by far the
-// largest transient of node assignment; pooling it means GenerateEach
-// builds it once per concurrent worker rather than once per seed.
-var nodeSamplerPool = sync.Pool{
-	New: func() any { return new(sample.Fenwick) },
-}
-
 // pickAffectedNodes samples n distinct node indices, weighting nodes in
 // hot racks by the profile's boost. Racks are declared hot by a
-// deterministic permutation of the rack list. Draws run through a
-// pooled Fenwick sampler: O(log NodeCount) per pick with weight removal,
-// replacing the per-pick linear CDF scan over the whole fleet.
-func pickAffectedNodes(p *Profile, n int, rng *rand.Rand) ([]int, error) {
+// deterministic permutation of the rack list. Draws run through the
+// caller's Fenwick sampler, refilled here: O(log NodeCount) per pick
+// with weight removal, replacing the per-pick linear CDF scan over the
+// whole fleet. The sampler is sized by the fleet, the largest transient
+// of node assignment, so a caller generating many logs passes the same
+// one each time.
+func pickAffectedNodes(p *Profile, n int, rng *rand.Rand, f *sample.Fenwick) ([]int, error) {
 	racks := (p.NodeCount + p.NodesPerRack - 1) / p.NodesPerRack
 	hotCount := int(p.HotRackFraction * float64(racks))
 	hot := make([]bool, racks)
 	for _, r := range rng.Perm(racks)[:hotCount] {
 		hot[r] = true
 	}
-	f, ok := nodeSamplerPool.Get().(*sample.Fenwick)
-	if !ok {
-		f = new(sample.Fenwick) // unreachable: the pool's New is the only producer
-	}
-	defer nodeSamplerPool.Put(f)
 	err := f.ResetFunc(p.NodeCount, func(i int) float64 {
 		if hot[i/p.NodesPerRack] {
 			return p.HotRackBoost

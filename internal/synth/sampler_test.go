@@ -3,6 +3,8 @@ package synth
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/sample"
 )
 
 // TestSlotSamplerAllocs is the allocation regression gate for the GPU
@@ -101,7 +103,7 @@ func TestPickAffectedNodesHotRackMarginal(t *testing.T) {
 				nHot++
 			}
 		}
-		chosen, err := pickAffectedNodes(p, picksPerTrial, rand.New(rand.NewSource(seed)))
+		chosen, err := pickAffectedNodes(p, picksPerTrial, rand.New(rand.NewSource(seed)), new(sample.Fenwick))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +128,7 @@ func TestPickAffectedNodesHotRackMarginal(t *testing.T) {
 func TestPickAffectedNodesDistinct(t *testing.T) {
 	p := Tsubame3Profile()
 	rng := rand.New(rand.NewSource(3))
-	chosen, err := pickAffectedNodes(p, p.NodeCount/2, rng)
+	chosen, err := pickAffectedNodes(p, p.NodeCount/2, rng, new(sample.Fenwick))
 	if err != nil {
 		t.Fatal(err)
 	}

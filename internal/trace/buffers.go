@@ -3,10 +3,13 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"slices"
 	"sync"
+
+	"repro/internal/parallel"
 )
 
 // readPool recycles the slurp buffers of the readers. Logs at the scale
@@ -200,4 +203,67 @@ func putLine(b *[]byte) {
 	if cap(*b) <= maxPooledLine {
 		linePool.Put(b)
 	}
+}
+
+// rangePool recycles the per-worker output buffers of writeOrdered.
+var rangePool = sync.Pool{
+	New: func() any { return new([]byte) },
+}
+
+// writeOrdered encodes units [0, n) on up to width workers and writes
+// their bytes to w in unit order. It works in rounds. A round cuts the
+// next units into up to width ranges of per units, and encode(s, r, dst)
+// appends range s's bytes to dst, a pooled buffer of worker s alone.
+// The round's buffers are written in order before the next round, so
+// memory holds at most width ranges of output, whatever n is. The error
+// is the first in unit order: encode's for the lowest failing range, or
+// a write error prefixed with name(r). A round of one range runs on the
+// calling goroutine.
+func writeOrdered(w io.Writer, n, width, per int, encode func(worker int, r parallel.Range, dst []byte) ([]byte, error), name func(r parallel.Range) string) error {
+	width = max(width, 1)
+	bufs := make([]*[]byte, 0, min(width, (n+per-1)/per))
+	defer func() {
+		const maxPooledRange = 16 << 20
+		for _, b := range bufs {
+			if cap(*b) <= maxPooledRange {
+				rangePool.Put(b)
+			}
+		}
+	}()
+	ranges := make([]parallel.Range, 0, cap(bufs))
+	encodeRange := func(_ context.Context, s int, r parallel.Range) error {
+		b, err := encode(s, r, (*bufs[s])[:0])
+		*bufs[s] = b
+		return err
+	}
+	for lo := 0; lo < n; {
+		ranges = ranges[:0]
+		for len(ranges) < width && lo < n {
+			hi := min(lo+per, n)
+			ranges = append(ranges, parallel.Range{Lo: lo, Hi: hi})
+			lo = hi
+		}
+		for len(bufs) < len(ranges) {
+			b, ok := rangePool.Get().(*[]byte)
+			if !ok {
+				b = new([]byte) // unreachable: the pool's New is the only producer
+			}
+			bufs = append(bufs, b)
+		}
+		var err error
+		if len(ranges) == 1 {
+			err = encodeRange(context.Background(), 0, ranges[0])
+		} else {
+			err = parallel.ForEach(context.Background(), width, ranges, encodeRange)
+		}
+		if err != nil {
+			return err
+		}
+		for s, r := range ranges {
+			if _, err := w.Write(*bufs[s]); err != nil {
+				return fmt.Errorf("%s: %w", name(r), err)
+			}
+		}
+	}
+	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/failures"
@@ -26,39 +27,56 @@ type jsonRecord struct {
 	SoftwareCause string    `json:"software_cause,omitempty"`
 }
 
+// ndjsonRangeRecords is how many records one WriteNDJSON worker encodes
+// per range: about 3 MiB of output. A fresh range buffer is sized at
+// ndjsonRecordBytes a record, about a canonical line, so it grows at
+// most once or twice.
+const (
+	ndjsonRangeRecords = 16 << 10
+	ndjsonRecordBytes  = 192
+)
+
 // WriteNDJSON writes the log as newline-delimited JSON, one record per
 // line. Records are rendered by the append-based kernel in encode.go —
 // byte-identical to the json.Encoder path it replaced (the differential
-// tests assert so) but with zero per-record allocations: one pooled
-// staging buffer, one pooled line buffer, no reflection.
+// tests assert so) but with zero per-record allocations and no
+// reflection. Up to GOMAXPROCS workers encode contiguous record ranges
+// into pooled buffers of their own, written in input order; a log that
+// fits one range is encoded on the calling goroutine.
 func WriteNDJSON(w io.Writer, log *failures.Log) error {
+	return writeNDJSON(w, log, parallel.DefaultParallelism(), ndjsonRangeRecords)
+}
+
+// writeNDJSON is WriteNDJSON with the encode width and the range size as
+// parameters, so tests can cut tiny logs into many ranges.
+func writeNDJSON(w io.Writer, log *failures.Log, width, per int) error {
 	defer obs.StartSpan("trace/write-ndjson").End()
 	bw := getWriter(w)
 	defer putWriter(bw)
-	line := getLine()
-	defer putLine(line)
-	b := (*line)[:0]
-	var err error
-	for i, n := 0, log.Len(); i < n; i++ {
-		r := log.At(i)
-		b, err = appendNDJSONRecord(b[:0], jsonRecord{
-			ID:            r.ID,
-			System:        r.System.String(),
-			Time:          r.Time.UTC(),
-			RecoveryHours: r.Recovery.Hours(),
-			Category:      string(r.Category),
-			Node:          r.Node,
-			GPUs:          r.GPUs,
-			SoftwareCause: string(r.SoftwareCause),
-		})
-		if err != nil {
-			return fmt.Errorf("trace: encoding record %d: %w", r.ID, err)
+	err := writeOrdered(bw, log.Len(), width, per, func(_ int, r parallel.Range, b []byte) ([]byte, error) {
+		b = slices.Grow(b, (r.Hi-r.Lo)*ndjsonRecordBytes)
+		for i := r.Lo; i < r.Hi; i++ {
+			rec := log.At(i)
+			var err error
+			b, err = appendNDJSONRecord(b, jsonRecord{
+				ID:            rec.ID,
+				System:        rec.System.String(),
+				Time:          rec.Time.UTC(),
+				RecoveryHours: rec.Recovery.Hours(),
+				Category:      string(rec.Category),
+				Node:          rec.Node,
+				GPUs:          rec.GPUs,
+				SoftwareCause: string(rec.SoftwareCause),
+			})
+			if err != nil {
+				return b, fmt.Errorf("trace: encoding record %d: %w", rec.ID, err)
+			}
 		}
-		if _, err := bw.Write(b); err != nil {
-			return fmt.Errorf("trace: writing record %d: %w", r.ID, err)
-		}
+		return b, nil
+	}, func(r parallel.Range) string { return fmt.Sprintf("trace: writing record %d", log.At(r.Lo).ID) })
+	if err != nil {
+		return err
 	}
-	*line = b
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("trace: flushing NDJSON: %w", err)
 	}
@@ -150,7 +168,7 @@ func readNDJSON(r io.Reader, width, ceiling int) (*failures.Log, error) {
 				if err != nil {
 					return nil, err
 				}
-				return logFromParts(append(parts, records))
+				return logFromParts(append(parts, records), width)
 			}
 			if odd == nil && res.odd != nil {
 				odd, oddLine = res.odd, lines+res.oddLine
@@ -163,7 +181,7 @@ func readNDJSON(r io.Reader, width, ceiling int) (*failures.Log, error) {
 		}
 	}
 	obs.Add("trace/ndjson_rows", int64(lines))
-	return logFromParts(parts)
+	return logFromParts(parts, width)
 }
 
 // chunkResult is the fast parse of one chunk. Line numbers count from 1
@@ -254,10 +272,14 @@ func decodeNDJSON(data []byte, from, before int) ([]failures.Failure, error) {
 	}
 }
 
+// joinShard is the number of records one logFromParts worker copies.
+const joinShard = 64 << 10
+
 // logFromParts joins the decoded parts, in input order, into one
-// exact-size slice and hands it to the log, which adopts input already
-// in the log's order and sorts anything else in place.
-func logFromParts(parts [][]failures.Failure) (*failures.Log, error) {
+// exact-size slice, copying shards of it on up to width workers, and
+// hands it to the log, which adopts input already in the log's order and
+// sorts anything else in place.
+func logFromParts(parts [][]failures.Failure, width int) (*failures.Log, error) {
 	n := 0
 	for _, p := range parts {
 		n += len(p)
@@ -265,15 +287,37 @@ func logFromParts(parts [][]failures.Failure) (*failures.Log, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("trace: NDJSON contains no records")
 	}
-	records := make([]failures.Failure, 0, n)
-	for _, p := range parts {
-		records = append(records, p...)
+	records := make([]failures.Failure, n)
+	// A log of one shard is joined inline, with none of the pool's
+	// allocations.
+	if n <= joinShard {
+		joinParts(records, parts, parallel.Range{Lo: 0, Hi: n})
+	} else {
+		_ = parallel.ForEach(context.Background(), width, parallel.Shards(n, (n+joinShard-1)/joinShard),
+			func(_ context.Context, _ int, r parallel.Range) error {
+				joinParts(records, parts, r)
+				return nil
+			})
 	}
 	log, err := failures.NewLogOwned(records[0].System, records)
 	if err != nil {
 		return nil, fmt.Errorf("trace: validating NDJSON log: %w", err)
 	}
 	return log, nil
+}
+
+// joinParts copies records[r.Lo:r.Hi] out of the parts they were
+// decoded into.
+func joinParts(records []failures.Failure, parts [][]failures.Failure, r parallel.Range) {
+	start := 0 // offset of the part at hand
+	for _, p := range parts {
+		if lo, hi := max(r.Lo, start), min(r.Hi, start+len(p)); lo < hi {
+			copy(records[lo:hi], p[lo-start:hi-start])
+		}
+		if start += len(p); start >= r.Hi {
+			return
+		}
+	}
 }
 
 // ParseNDJSONRecord parses one NDJSON wire line into a Failure. It is the

@@ -20,7 +20,10 @@ import (
 // genLog draws a small arbitrary-but-valid failure log. Every dimension
 // shrinks toward the trivial log: zero records, epoch-adjacent times,
 // zero recoveries, no node/GPU/cause annotations.
-func genLog(g *testutil.Gen) (*failures.Log, error) {
+func genLog(g *testutil.Gen) (*failures.Log, error) { return genLogOf(g, 7) }
+
+// genLogOf is genLog with up to maxRecords records.
+func genLogOf(g *testutil.Gen, maxRecords int) (*failures.Log, error) {
 	sys := failures.Tsubame2
 	if g.Bool() {
 		sys = failures.Tsubame3
@@ -30,7 +33,7 @@ func genLog(g *testutil.Gen) (*failures.Log, error) {
 	base := time.Date(2016, time.January, 1, 0, 0, 0, 0, time.UTC)
 	// The readers reject empty streams by contract (the shrinker found
 	// this immediately), so logs have at least one record.
-	n := 1 + g.Intn(7)
+	n := 1 + g.Intn(maxRecords)
 	records := make([]failures.Failure, 0, n)
 	for i := 0; i < n; i++ {
 		f := failures.Failure{

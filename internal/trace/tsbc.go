@@ -17,6 +17,7 @@
 package trace
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -25,6 +26,7 @@ import (
 
 	"repro/internal/failures"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 )
 
 const (
@@ -118,19 +120,22 @@ type BlockFilter struct {
 	mask uint64
 }
 
-// BlockWriter streams a failure log into the .tsbc format, holding at
-// most one block of column arenas in memory. Records must be appended in
-// canonical log order (occurrence time, ties by ID) and belong to the
-// writer's system; Close flushes the final partial block and the end
-// frame. BlockWriter does not close the underlying writer.
-type BlockWriter struct {
-	w      io.Writer
-	system failures.System
-
+// tsbcDicts are a file's category and software-cause dictionaries,
+// built once per writer and only read afterwards, so every block encoder
+// of one file shares them.
+type tsbcDicts struct {
+	system   failures.System
 	catIdx   map[failures.Category]int
 	causeIdx map[failures.SoftwareCause]int
+}
 
-	// Per-block state: column arenas, the node dictionary, and stats.
+// blockEncoder is the state of one block under construction: column
+// arenas, the node dictionary, statistics and frame assembly. Delta
+// bases and the node dictionary restart in every block, so encoders
+// working on different blocks of one file share nothing but the
+// read-only dictionaries.
+type blockEncoder struct {
+	dicts    *tsbcDicts
 	cols     [8][]byte // id, tsec, tnsec, recovery, cat, node, gpus, cause
 	nodeIdx  map[string]int
 	nodes    []string
@@ -139,17 +144,37 @@ type BlockWriter struct {
 	stats    BlockStats
 	prevID   int64
 	prevSec  int64
-
-	// Order enforcement across blocks.
-	total    uint64
-	lastTime time.Time
-	lastID   int
-	closed   bool
-
-	frame []byte // frame assembly scratch
+	head     []byte // stats and node dictionary scratch of appendFrame
 }
 
-// Column indices into BlockWriter.cols.
+func newBlockEncoder(dicts *tsbcDicts, capacity int) *blockEncoder {
+	return &blockEncoder{dicts: dicts, nodeIdx: make(map[string]int), capacity: capacity}
+}
+
+// lastRecord is a writer's order state: the time and ID of the record
+// accepted last, which the next record must not precede.
+type lastRecord struct {
+	time time.Time
+	id   int
+	set  bool
+}
+
+// BlockWriter streams a failure log into the .tsbc format, holding at
+// most one block of column arenas in memory: one block encoder plus the
+// order state across blocks. Records must be appended in canonical log
+// order (occurrence time, ties by ID) and belong to the writer's system;
+// Close flushes the final partial block and the end frame. BlockWriter
+// does not close the underlying writer.
+type BlockWriter struct {
+	w      io.Writer
+	enc    *blockEncoder
+	last   lastRecord
+	total  uint64
+	closed bool
+	frame  []byte // frame assembly scratch
+}
+
+// Column indices into blockEncoder.cols.
 const (
 	colID = iota
 	colTimeSec
@@ -183,19 +208,16 @@ func newBlockWriterSize(w io.Writer, system failures.System, capacity int) (*Blo
 		return nil, fmt.Errorf("trace: tsbc: %v taxonomy has %d categories, format supports 64", system, len(cats))
 	}
 	causes := failures.SoftwareCauses()
-	bw := &BlockWriter{
-		w:        w,
+	dicts := &tsbcDicts{
 		system:   system,
 		catIdx:   make(map[failures.Category]int, len(cats)),
 		causeIdx: make(map[failures.SoftwareCause]int, len(causes)),
-		nodeIdx:  make(map[string]int),
-		capacity: capacity,
 	}
 	for i, c := range cats {
-		bw.catIdx[c] = i
+		dicts.catIdx[c] = i
 	}
 	for i, c := range causes {
-		bw.causeIdx[c] = i
+		dicts.causeIdx[c] = i
 	}
 
 	hdr := make([]byte, 0, 512)
@@ -206,7 +228,7 @@ func newBlockWriterSize(w io.Writer, system failures.System, capacity int) (*Blo
 	if _, err := w.Write(hdr); err != nil {
 		return nil, fmt.Errorf("trace: tsbc: writing header: %w", err)
 	}
-	return bw, nil
+	return &BlockWriter{w: w, enc: newBlockEncoder(dicts, capacity)}, nil
 }
 
 // appendDict encodes a string dictionary: entry count, then each entry
@@ -230,16 +252,29 @@ func (bw *BlockWriter) Append(f failures.Failure) error {
 	if bw.closed {
 		return fmt.Errorf("trace: tsbc: append after Close")
 	}
-	if f.System != bw.system {
-		return fmt.Errorf("trace: tsbc: record %d belongs to %v, trace is for %v", f.ID, f.System, bw.system)
+	if err := bw.enc.add(f, &bw.last); err != nil {
+		return err
 	}
-	catIdx, ok := bw.catIdx[f.Category]
+	bw.total++
+	if bw.enc.full() {
+		return bw.flushBlock()
+	}
+	return nil
+}
+
+// add checks f against the dictionaries and the order state last, then
+// encodes it into the block and advances last.
+func (e *blockEncoder) add(f failures.Failure, last *lastRecord) error {
+	if f.System != e.dicts.system {
+		return fmt.Errorf("trace: tsbc: record %d belongs to %v, trace is for %v", f.ID, f.System, e.dicts.system)
+	}
+	catIdx, ok := e.dicts.catIdx[f.Category]
 	if !ok {
-		return fmt.Errorf("trace: tsbc: record %d category %q is not in the %v taxonomy", f.ID, f.Category, bw.system)
+		return fmt.Errorf("trace: tsbc: record %d category %q is not in the %v taxonomy", f.ID, f.Category, e.dicts.system)
 	}
 	causeIdx := 0
 	if f.SoftwareCause != "" {
-		i, ok := bw.causeIdx[f.SoftwareCause]
+		i, ok := e.dicts.causeIdx[f.SoftwareCause]
 		if !ok {
 			return fmt.Errorf("trace: tsbc: record %d has unknown software cause %q", f.ID, f.SoftwareCause)
 		}
@@ -249,99 +284,104 @@ func (bw *BlockWriter) Append(f failures.Failure) error {
 		return fmt.Errorf("trace: tsbc: record %d lists %d GPU slots, format supports %d", f.ID, len(f.GPUs), tsbcMaxGPUs)
 	}
 	t := f.Time.UTC()
-	if bw.total > 0 || bw.count > 0 {
-		if t.Before(bw.lastTime) || (t.Equal(bw.lastTime) && f.ID < bw.lastID) {
-			return fmt.Errorf("trace: tsbc: record %d out of order (time %v after record %d at %v)", f.ID, t, bw.lastID, bw.lastTime)
-		}
+	if last.set && (t.Before(last.time) || (t.Equal(last.time) && f.ID < last.id)) {
+		return fmt.Errorf("trace: tsbc: record %d out of order (time %v after record %d at %v)", f.ID, t, last.id, last.time)
 	}
-	bw.lastTime, bw.lastID = t, f.ID
+	*last = lastRecord{time: t, id: f.ID, set: true}
 
 	sec, nsec := t.Unix(), int64(t.Nanosecond())
-	bw.cols[colID] = binary.AppendUvarint(bw.cols[colID], zigzag(int64(f.ID)-bw.prevID))
-	bw.cols[colTimeSec] = binary.AppendUvarint(bw.cols[colTimeSec], zigzag(sec-bw.prevSec))
-	bw.cols[colTimeNsec] = binary.AppendUvarint(bw.cols[colTimeNsec], uint64(nsec))
-	bw.cols[colRecovery] = binary.AppendUvarint(bw.cols[colRecovery], zigzag(int64(f.Recovery)))
-	bw.cols[colCategory] = binary.AppendUvarint(bw.cols[colCategory], uint64(catIdx))
+	e.cols[colID] = binary.AppendUvarint(e.cols[colID], zigzag(int64(f.ID)-e.prevID))
+	e.cols[colTimeSec] = binary.AppendUvarint(e.cols[colTimeSec], zigzag(sec-e.prevSec))
+	e.cols[colTimeNsec] = binary.AppendUvarint(e.cols[colTimeNsec], uint64(nsec))
+	e.cols[colRecovery] = binary.AppendUvarint(e.cols[colRecovery], zigzag(int64(f.Recovery)))
+	e.cols[colCategory] = binary.AppendUvarint(e.cols[colCategory], uint64(catIdx))
 	nodeRef := 0
 	if f.Node != "" {
-		i, ok := bw.nodeIdx[f.Node]
+		i, ok := e.nodeIdx[f.Node]
 		if !ok {
-			i = len(bw.nodes)
-			bw.nodeIdx[f.Node] = i
-			bw.nodes = append(bw.nodes, f.Node)
+			i = len(e.nodes)
+			e.nodeIdx[f.Node] = i
+			e.nodes = append(e.nodes, f.Node)
 		}
 		nodeRef = i + 1
 	}
-	bw.cols[colNode] = binary.AppendUvarint(bw.cols[colNode], uint64(nodeRef))
-	bw.cols[colGPUs] = binary.AppendUvarint(bw.cols[colGPUs], uint64(len(f.GPUs)))
+	e.cols[colNode] = binary.AppendUvarint(e.cols[colNode], uint64(nodeRef))
+	e.cols[colGPUs] = binary.AppendUvarint(e.cols[colGPUs], uint64(len(f.GPUs)))
 	for _, g := range f.GPUs {
-		bw.cols[colGPUs] = binary.AppendUvarint(bw.cols[colGPUs], zigzag(int64(g)))
+		e.cols[colGPUs] = binary.AppendUvarint(e.cols[colGPUs], zigzag(int64(g)))
 	}
-	bw.cols[colCause] = binary.AppendUvarint(bw.cols[colCause], uint64(causeIdx))
-	bw.prevID, bw.prevSec = int64(f.ID), sec
+	e.cols[colCause] = binary.AppendUvarint(e.cols[colCause], uint64(causeIdx))
+	e.prevID, e.prevSec = int64(f.ID), sec
 
-	if bw.count == 0 {
-		bw.stats = BlockStats{MinTime: t, MaxTime: t, MinRecovery: f.Recovery, MaxRecovery: f.Recovery}
+	if e.count == 0 {
+		e.stats = BlockStats{MinTime: t, MaxTime: t, MinRecovery: f.Recovery, MaxRecovery: f.Recovery}
 	} else {
 		// Appends are chronological, so MaxTime only moves forward.
-		bw.stats.MaxTime = t
-		if f.Recovery < bw.stats.MinRecovery {
-			bw.stats.MinRecovery = f.Recovery
+		e.stats.MaxTime = t
+		if f.Recovery < e.stats.MinRecovery {
+			e.stats.MinRecovery = f.Recovery
 		}
-		if f.Recovery > bw.stats.MaxRecovery {
-			bw.stats.MaxRecovery = f.Recovery
+		if f.Recovery > e.stats.MaxRecovery {
+			e.stats.MaxRecovery = f.Recovery
 		}
 	}
-	bw.stats.Categories |= 1 << uint(catIdx)
-	bw.count++
-	bw.stats.Count = bw.count
-	bw.total++
-	if bw.count >= bw.capacity {
-		return bw.flushBlock()
-	}
+	e.stats.Categories |= 1 << uint(catIdx)
+	e.count++
+	e.stats.Count = e.count
 	return nil
 }
 
-// flushBlock assembles the current block's frame (stats, node
-// dictionary, column arenas, CRC) and writes it length-prefixed.
+// full reports whether the block holds its capacity of records.
+func (e *blockEncoder) full() bool { return e.count >= e.capacity }
+
+// appendFrame appends the block's length-prefixed frame (stats, node
+// dictionary, column arenas, CRC) to dst and empties the encoder for the
+// next block.
+func (e *blockEncoder) appendFrame(dst []byte) []byte {
+	h := e.head[:0]
+	h = binary.AppendUvarint(h, uint64(e.count))
+	h = binary.AppendUvarint(h, zigzag(e.stats.MinTime.Unix()))
+	h = binary.AppendUvarint(h, uint64(e.stats.MinTime.Nanosecond()))
+	h = binary.AppendUvarint(h, zigzag(e.stats.MaxTime.Unix()))
+	h = binary.AppendUvarint(h, uint64(e.stats.MaxTime.Nanosecond()))
+	h = binary.AppendUvarint(h, zigzag(int64(e.stats.MinRecovery)))
+	h = binary.AppendUvarint(h, zigzag(int64(e.stats.MaxRecovery)))
+	h = binary.AppendUvarint(h, e.stats.Categories)
+	h = appendDict(h, len(e.nodes), func(i int) string { return e.nodes[i] })
+	e.head = h
+	size := len(h) + 4
+	for _, col := range e.cols {
+		size += len(col)
+	}
+	dst = binary.AppendUvarint(dst, uint64(size))
+	start := len(dst)
+	dst = append(dst, h...)
+	for _, col := range e.cols {
+		dst = append(dst, col...)
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], tsbcCRC))
+
+	for i := range e.cols {
+		e.cols[i] = e.cols[i][:0]
+	}
+	e.nodes = e.nodes[:0]
+	clear(e.nodeIdx)
+	e.count = 0
+	e.prevID, e.prevSec = 0, 0
+	e.stats = BlockStats{}
+	return dst
+}
+
+// flushBlock writes the current block's frame, if it holds any record.
 func (bw *BlockWriter) flushBlock() error {
-	if bw.count == 0 {
+	if bw.enc.count == 0 {
 		return nil
 	}
-	f := bw.frame[:0]
-	f = binary.AppendUvarint(f, uint64(bw.count))
-	f = binary.AppendUvarint(f, zigzag(bw.stats.MinTime.Unix()))
-	f = binary.AppendUvarint(f, uint64(bw.stats.MinTime.Nanosecond()))
-	f = binary.AppendUvarint(f, zigzag(bw.stats.MaxTime.Unix()))
-	f = binary.AppendUvarint(f, uint64(bw.stats.MaxTime.Nanosecond()))
-	f = binary.AppendUvarint(f, zigzag(int64(bw.stats.MinRecovery)))
-	f = binary.AppendUvarint(f, zigzag(int64(bw.stats.MaxRecovery)))
-	f = binary.AppendUvarint(f, bw.stats.Categories)
-	f = appendDict(f, len(bw.nodes), func(i int) string { return bw.nodes[i] })
-	for _, col := range bw.cols {
-		f = append(f, col...)
-	}
-	f = binary.LittleEndian.AppendUint32(f, crc32.Checksum(f, tsbcCRC))
-	bw.frame = f
-
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(f)))
-	if _, err := bw.w.Write(lenBuf[:n]); err != nil {
+	bw.frame = bw.enc.appendFrame(bw.frame[:0])
+	if _, err := bw.w.Write(bw.frame); err != nil {
 		return fmt.Errorf("trace: tsbc: writing block frame: %w", err)
 	}
-	if _, err := bw.w.Write(f); err != nil {
-		return fmt.Errorf("trace: tsbc: writing block: %w", err)
-	}
 	obs.Add("trace/tsbc_blocks", 1)
-
-	for i := range bw.cols {
-		bw.cols[i] = bw.cols[i][:0]
-	}
-	bw.nodes = bw.nodes[:0]
-	clear(bw.nodeIdx)
-	bw.count = 0
-	bw.prevID, bw.prevSec = 0, 0
-	bw.stats = BlockStats{}
 	return nil
 }
 
@@ -367,22 +407,64 @@ func (bw *BlockWriter) Close() error {
 	return nil
 }
 
+// tsbcRangeBlocks is how many blocks one WriteTSBC worker encodes per
+// range: 32,768 records, about half a MiB of frames.
+const tsbcRangeBlocks = 4
+
 // WriteTSBC writes the log to w in the .tsbc columnar format. The log's
 // canonical ordering and validation invariants make every record
 // encodable, so the only errors are I/O.
 func WriteTSBC(w io.Writer, log *failures.Log) error {
+	return writeTSBC(w, log, parallel.DefaultParallelism(), tsbcBlockRecords)
+}
+
+// writeTSBC is WriteTSBC with the encode width and the block capacity as
+// parameters, so tests can compare widths on tiny blocks. Workers encode
+// ranges of whole blocks, each with a block encoder of its own and an
+// order check seeded from the record just before its range, and the
+// frames are written in input order: blocks share no state, so the file
+// is byte-identical to what one BlockWriter appending every record
+// writes, and an invalid record fails with the error BlockWriter gives
+// it first.
+func writeTSBC(w io.Writer, log *failures.Log, width, capacity int) error {
 	defer obs.StartSpan("trace/write-tsbc").End()
 	bw := getWriter(w)
 	defer putWriter(bw)
-	tw, err := NewBlockWriter(bw, log.System())
+	tw, err := newBlockWriterSize(bw, log.System(), capacity)
 	if err != nil {
 		return err
 	}
-	for i, n := 0, log.Len(); i < n; i++ {
-		if err := tw.Append(log.At(i)); err != nil {
-			return err
+	n := log.Len()
+	blocks := (n + capacity - 1) / capacity
+	encoders := make([]*blockEncoder, max(width, 1))
+	encoders[0] = tw.enc
+	err = writeOrdered(bw, blocks, width, tsbcRangeBlocks, func(worker int, r parallel.Range, dst []byte) ([]byte, error) {
+		enc := encoders[worker]
+		if enc == nil {
+			enc = newBlockEncoder(tw.enc.dicts, capacity)
+			encoders[worker] = enc
 		}
+		lo, hi := r.Lo*capacity, min(r.Hi*capacity, n)
+		var last lastRecord
+		if lo > 0 {
+			prev := log.At(lo - 1)
+			last = lastRecord{time: prev.Time.UTC(), id: prev.ID, set: true}
+		}
+		for i := lo; i < hi; i++ {
+			if err := enc.add(log.At(i), &last); err != nil {
+				return dst, err
+			}
+			if enc.full() || i == hi-1 {
+				dst = enc.appendFrame(dst)
+			}
+		}
+		return dst, nil
+	}, func(parallel.Range) string { return "trace: tsbc: writing block frame" })
+	if err != nil {
+		return err
 	}
+	obs.Add("trace/tsbc_blocks", int64(blocks))
+	tw.total = uint64(n)
 	if err := tw.Close(); err != nil {
 		return err
 	}
@@ -450,19 +532,17 @@ func (b *Block) Record(i int) failures.Failure {
 	}
 }
 
-// appendRecords appends copies of every record in the block to dst. The
-// GPU arena is copied once for the whole block, so the appended records
-// stay valid after the reader moves on.
-func (b *Block) appendRecords(dst []failures.Failure) []failures.Failure {
+// copyRecords copies every record of the block into dst, which holds
+// exactly Len records. The GPU arena is copied once for the whole block,
+// so the records stay valid after the block's arenas are reused.
+func (b *Block) copyRecords(dst []failures.Failure) {
 	arena := append([]int(nil), b.gpuArena...)
-	for i := 0; i < b.Len(); i++ {
-		f := b.Record(i)
+	for i := range dst {
+		dst[i] = b.Record(i)
 		if lo, hi := b.gpuOff[i], b.gpuOff[i+1]; hi > lo {
-			f.GPUs = arena[lo:hi:hi]
+			dst[i].GPUs = arena[lo:hi:hi]
 		}
-		dst = append(dst, f)
 	}
-	return dst
 }
 
 // BlockReader streams a .tsbc file one block at a time in constant
@@ -639,68 +719,77 @@ func (br *BlockReader) Next() (*Block, error) {
 // next reads one frame: the end frame (io.EOF), a filtered-out block
 // (skipped=true), or a decoded block.
 func (br *BlockReader) next() (blk *Block, skipped bool, err error) {
-	if br.done {
-		return nil, false, io.EOF
-	}
-	rb := byteReaderFor(br.r)
-	frameLen, err := binary.ReadUvarint(rb)
-	if err != nil {
-		if err == io.EOF {
-			return nil, false, fmt.Errorf("trace: tsbc: truncated before end frame")
-		}
-		return nil, false, fmt.Errorf("trace: tsbc: reading frame length: %w", err)
-	}
-	if frameLen == 0 {
-		total, err := binary.ReadUvarint(rb)
-		if err != nil {
-			return nil, false, fmt.Errorf("trace: tsbc: reading end frame: %w", err)
-		}
-		var tail [4]byte
-		if _, err := io.ReadFull(br.r, tail[:]); err != nil {
-			return nil, false, fmt.Errorf("trace: tsbc: reading tail magic: %w", err)
-		}
-		if string(tail[:]) != tsbcTail {
-			return nil, false, fmt.Errorf("trace: tsbc: bad tail magic %q", tail[:])
-		}
-		if total != br.total {
-			return nil, false, fmt.Errorf("trace: tsbc: end frame declares %d records, read %d", total, br.total)
-		}
-		br.done = true
-		return nil, false, io.EOF
-	}
-	if frameLen > tsbcMaxFrameBytes {
-		return nil, false, fmt.Errorf("trace: tsbc: block frame of %d bytes exceeds limit %d", frameLen, tsbcMaxFrameBytes)
-	}
-	// Grow the frame buffer only as bytes actually arrive: a corrupt
-	// length cannot allocate more than the input backs.
-	br.frame, err = readFrame(br.r, br.frame, int(frameLen))
+	var d frameDecoder
+	br.frame, d, br.block.stats, err = br.nextFrame(br.frame)
 	if err != nil {
 		return nil, false, err
 	}
-	frame := br.frame
-	if len(frame) < 4 {
-		return nil, false, fmt.Errorf("trace: tsbc: block frame of %d bytes has no checksum", len(frame))
-	}
-	payload, sum := frame[:len(frame)-4], binary.LittleEndian.Uint32(frame[len(frame)-4:])
-	if got := crc32.Checksum(payload, tsbcCRC); got != sum {
-		return nil, false, fmt.Errorf("trace: tsbc: block checksum mismatch (got %08x, want %08x)", got, sum)
-	}
-
-	d := frameDecoder{buf: payload}
-	stats, err := d.stats()
-	if err != nil {
-		return nil, false, err
-	}
-	br.total += uint64(stats.Count)
-	br.block.stats = stats
-	if br.statsOnly || !stats.overlaps(br.filter) {
+	if br.statsOnly || !br.block.stats.overlaps(br.filter) {
 		return nil, true, nil
 	}
 	if err := d.columns(&br.block); err != nil {
 		return nil, false, err
 	}
-	obs.Add("trace/tsbc_rows", int64(stats.Count))
+	obs.Add("trace/tsbc_rows", int64(br.block.stats.Count))
 	return &br.block, false, nil
+}
+
+// nextFrame reads the next frame into buf's storage, verifies its
+// checksum and decodes its statistics, returning the frame and a
+// decoder positioned at its node dictionary. At the end frame it
+// verifies the record total and the tail magic and returns io.EOF.
+func (br *BlockReader) nextFrame(buf []byte) (frame []byte, d frameDecoder, stats BlockStats, err error) {
+	if br.done {
+		return buf, d, stats, io.EOF
+	}
+	rb := byteReaderFor(br.r)
+	frameLen, err := binary.ReadUvarint(rb)
+	if err != nil {
+		if err == io.EOF {
+			return buf, d, stats, fmt.Errorf("trace: tsbc: truncated before end frame")
+		}
+		return buf, d, stats, fmt.Errorf("trace: tsbc: reading frame length: %w", err)
+	}
+	if frameLen == 0 {
+		total, err := binary.ReadUvarint(rb)
+		if err != nil {
+			return buf, d, stats, fmt.Errorf("trace: tsbc: reading end frame: %w", err)
+		}
+		var tail [4]byte
+		if _, err := io.ReadFull(br.r, tail[:]); err != nil {
+			return buf, d, stats, fmt.Errorf("trace: tsbc: reading tail magic: %w", err)
+		}
+		if string(tail[:]) != tsbcTail {
+			return buf, d, stats, fmt.Errorf("trace: tsbc: bad tail magic %q", tail[:])
+		}
+		if total != br.total {
+			return buf, d, stats, fmt.Errorf("trace: tsbc: end frame declares %d records, read %d", total, br.total)
+		}
+		br.done = true
+		return buf, d, stats, io.EOF
+	}
+	if frameLen > tsbcMaxFrameBytes {
+		return buf, d, stats, fmt.Errorf("trace: tsbc: block frame of %d bytes exceeds limit %d", frameLen, tsbcMaxFrameBytes)
+	}
+	// Grow the frame buffer only as bytes actually arrive: a corrupt
+	// length cannot allocate more than the input backs.
+	frame, err = readFrame(br.r, buf, int(frameLen))
+	if err != nil {
+		return frame, d, stats, err
+	}
+	if len(frame) < 4 {
+		return frame, d, stats, fmt.Errorf("trace: tsbc: block frame of %d bytes has no checksum", len(frame))
+	}
+	payload, sum := frame[:len(frame)-4], binary.LittleEndian.Uint32(frame[len(frame)-4:])
+	if got := crc32.Checksum(payload, tsbcCRC); got != sum {
+		return frame, d, stats, fmt.Errorf("trace: tsbc: block checksum mismatch (got %08x, want %08x)", got, sum)
+	}
+	d = frameDecoder{buf: payload}
+	if stats, err = d.stats(); err != nil {
+		return frame, d, stats, err
+	}
+	br.total += uint64(stats.Count)
+	return frame, d, stats, nil
 }
 
 // readFrame fills a reused buffer with exactly n bytes from r, growing
@@ -783,8 +872,16 @@ func (d *frameDecoder) stats() (BlockStats, error) {
 		return s, err
 	}
 	s.MinRecovery, s.MaxRecovery = time.Duration(minRec), time.Duration(maxRec)
-	s.Categories, err = d.uvarint()
-	return s, err
+	if s.Categories, err = d.uvarint(); err != nil {
+		return s, err
+	}
+	// Every record takes at least one byte in each of the eight columns,
+	// so a count the rest of the frame cannot hold is corruption, rejected
+	// before any reader sizes arenas or records by it.
+	if rest := len(d.buf) - d.pos; s.Count > rest/8 {
+		return s, fmt.Errorf("trace: tsbc: block claims %d records, more than its %d remaining bytes can hold", s.Count, rest)
+	}
+	return s, nil
 }
 
 // columns decodes the node dictionary and every column arena into the
@@ -936,35 +1033,77 @@ func grow[T any](s []T, n int) []T {
 // consumers should drive a BlockReader instead. Matches the other
 // readers' contract: empty traces are an error.
 func ReadTSBC(r io.Reader) (*failures.Log, error) {
+	return readTSBC(r, parallel.DefaultParallelism())
+}
+
+// tsbcFrame is one block frame ReadTSBC has read and checked: a decoder
+// positioned at its node dictionary, its statistics, and the index of
+// its first record in the log.
+type tsbcFrame struct {
+	d     frameDecoder
+	stats BlockStats
+	at    int
+}
+
+// readTSBC is ReadTSBC with the decode width as a parameter. It reads
+// every frame first (the file's own bytes), checking each checksum and
+// decoding each frame's statistics, whose record counts are bounded by
+// the frame's bytes. Then it allocates the records once, at their exact
+// total, and decodes the blocks in parallel, each worker filling the
+// disjoint windows of its own contiguous run of blocks. The error for a
+// corrupt file is the one BlockReader meets first: a column error of the
+// lowest failing block, else the framing error that stopped the read.
+func readTSBC(r io.Reader, width int) (*failures.Log, error) {
 	defer obs.StartSpan("trace/read-tsbc").End()
 	br, err := NewBlockReader(r)
 	if err != nil {
 		return nil, err
 	}
-	var records []failures.Failure
+	var (
+		frames  []tsbcFrame
+		n       int
+		framing error
+	)
 	for {
-		blk, err := br.Next()
+		_, d, stats, err := br.nextFrame(nil)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, err
+			framing = err
+			break
 		}
-		// Grow by doubling rather than through append's ~1.25x policy:
-		// a 100k-record decode otherwise allocates ~5x the final slice
-		// in dead intermediate copies, and GC churn dominates the read.
-		if need := len(records) + blk.Len(); need > cap(records) {
-			newCap := 2 * cap(records)
-			if newCap < need {
-				newCap = need
-			}
-			grown := make([]failures.Failure, len(records), newCap)
-			copy(grown, records)
-			records = grown
-		}
-		records = blk.appendRecords(records)
+		frames = append(frames, tsbcFrame{d: d, stats: stats, at: n})
+		n += stats.Count
 	}
-	if len(records) == 0 {
+	// After a framing error the blocks before it are still decoded, for
+	// their column errors rank first, but into no records.
+	var records []failures.Failure
+	if framing == nil {
+		records = make([]failures.Failure, n)
+	}
+	shards := parallel.Shards(len(frames), width)
+	err = parallel.ForEach(context.Background(), width, shards, func(_ context.Context, _ int, sh parallel.Range) error {
+		blk := Block{catDict: br.catDict, causeDict: br.causeDict, system: br.system}
+		for _, f := range frames[sh.Lo:sh.Hi] {
+			blk.stats = f.stats
+			if err := f.d.columns(&blk); err != nil {
+				return err
+			}
+			if records != nil {
+				blk.copyRecords(records[f.at : f.at+f.stats.Count])
+				obs.Add("trace/tsbc_rows", int64(f.stats.Count))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if framing != nil {
+		return nil, framing
+	}
+	if n == 0 {
 		return nil, fmt.Errorf("trace: tsbc contains no records")
 	}
 	// The writer enforces (time, ID) order and the decoder emits UTC

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"reflect"
 	"testing"
 	"time"
 
@@ -414,10 +415,46 @@ func TestTSBCEmptyLog(t *testing.T) {
 	}
 }
 
+// readTSBCStream is ReadTSBC as one BlockReader pass: every block
+// decoded in turn and its records copied out, then the empty check and
+// the log's validation. It is the sequential oracle of the parallel
+// decode.
+func readTSBCStream(data []byte) (*failures.Log, error) {
+	br, err := NewBlockReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	var records []failures.Failure
+	for {
+		blk, err := br.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < blk.Len(); i++ {
+			f := blk.Record(i)
+			f.GPUs = append([]int(nil), f.GPUs...)
+			records = append(records, f)
+		}
+	}
+	if len(records) == 0 {
+		return nil, fmt.Errorf("trace: tsbc contains no records")
+	}
+	log, err := failures.NewLogSorted(br.System(), records)
+	if err != nil {
+		return nil, fmt.Errorf("trace: validating tsbc log: %w", err)
+	}
+	return log, nil
+}
+
 // FuzzReadTSBC asserts the binary reader never panics and never
 // over-allocates on adversarial input: corrupt headers, truncated
-// blocks, and forged dictionaries must all error. Anything the reader
-// accepts must survive a re-encode/re-read round trip.
+// blocks, and forged dictionaries must all error. Every input decodes
+// alike at widths 1 and 3 and through one BlockReader pass: the same
+// records or the same error. Anything the reader accepts must survive a
+// re-encode/re-read round trip.
 func FuzzReadTSBC(f *testing.F) {
 	for _, system := range []failures.System{failures.Tsubame2, failures.Tsubame3} {
 		log := tsbcTestLog(f, system, 1)
@@ -442,10 +479,20 @@ func FuzzReadTSBC(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("garbage that is not a trace"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		log, err := ReadTSBC(bytes.NewReader(data))
-		if err != nil {
+		want, wantErr := readTSBCStream(data)
+		for _, width := range []int{1, 3} {
+			got, err := readTSBC(bytes.NewReader(data), width)
+			if errString(err) != errString(wantErr) {
+				t.Fatalf("width %d: error %q, BlockReader pass %q", width, errString(err), errString(wantErr))
+			}
+			if err == nil && !reflect.DeepEqual(got, want) {
+				t.Fatalf("width %d: records differ from the BlockReader pass", width)
+			}
+		}
+		if wantErr != nil {
 			return // rejects are fine; panics and runaway allocation are not
 		}
+		log := want
 		var out bytes.Buffer
 		if err := WriteTSBC(&out, log); err != nil {
 			t.Fatalf("accepted log failed to re-encode: %v", err)
