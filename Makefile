@@ -22,7 +22,7 @@ BENCH_PKGS ?= ./...
 BENCH_OUT ?= BENCH_ci.json
 BENCH_TAGS ?=
 
-.PHONY: build test race bench bench-baseline bench-check bench-smoke bench-smoke-selftest sweep-smoke serve-smoke convert-smoke remediate-smoke profile-gen fuzz-smoke conform cover vet loc lint ci clean
+.PHONY: build test race bench-harness bench bench-baseline bench-check bench-smoke bench-smoke-selftest sweep-smoke serve-smoke convert-smoke remediate-smoke profile-gen fuzz-smoke conform cover vet loc lint ci clean
 
 ## build: compile every package and command
 build:
@@ -48,6 +48,13 @@ test:
 ## parallel analysis engine)
 race:
 	$(GO) test -race ./...
+
+## bench-harness: vet and test the out-of-module benchmark harness
+## (benchmark/, the program `bash benchmark/run.sh` builds) against this
+## checkout, so an internal API change that breaks it fails here, not in
+## the benchmark run (about 15 s)
+bench-harness:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 ## bench: full benchmark battery with memory stats (regenerates the
 ## paper's tables/figures as metrics; slow)
@@ -157,7 +164,7 @@ lint:
 		|| echo "golangci-lint not installed; skipping (CI runs it as a blocking job)"
 
 ## ci: every blocking CI step, in CI's order
-ci: build vet test race conform bench-smoke bench-smoke-selftest sweep-smoke serve-smoke convert-smoke remediate-smoke fuzz-smoke
+ci: build vet test race bench-harness conform bench-smoke bench-smoke-selftest sweep-smoke serve-smoke convert-smoke remediate-smoke fuzz-smoke
 
 clean:
 	rm -f BENCH_ci.json BENCH_perf.txt PROFILE_gen_cpu.out PROFILE_gen_mem.out CONFORM_report.json COVER_profile.out repro.test

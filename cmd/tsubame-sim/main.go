@@ -19,7 +19,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"sort"
 	"syscall"
 
 	"repro/internal/cli"
@@ -144,13 +143,8 @@ func main() {
 	}
 	fmt.Printf("Availability %.4f (%.0f node-hours lost); mean wait %.1f h; mean restore %.1f h; peak queue %d.\n",
 		res.Availability, res.NodeHoursLost, res.MeanRepairWait, res.MeanTimeToRestore, res.PeakQueue)
-	cats := make([]string, 0, len(res.PerCategory))
-	for cat := range res.PerCategory {
-		cats = append(cats, string(cat))
-	}
-	sort.Strings(cats)
-	for _, cat := range cats {
-		s := res.PerCategory[failures.Category(cat)]
+	for _, cat := range failures.SortedCategories(res.PerCategory) {
+		s := res.PerCategory[cat]
 		fmt.Printf("  %-12s %4d failures, %8.0f repair-hours, %8.0f wait-hours\n",
 			cat, s.Failures, s.RepairHours, s.WaitHours)
 	}

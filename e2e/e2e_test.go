@@ -103,7 +103,8 @@ func runEnv(t *testing.T, env []string, tool string, args ...string) (stdout, st
 }
 
 // TestGoldenOutputs pins the full stdout of the reporting tools on the
-// committed seed-42 Tsubame-2 trace. The generators are pure functions of
+// committed seed-42 Tsubame-2 trace, and the calibration profiles
+// tsubame-gen exports, whose categories and causes print by name. The generators are pure functions of
 // (profile, seed), so these goldens are stable across machines; a diff
 // means the analysis or rendering pipeline changed behavior.
 func TestGoldenOutputs(t *testing.T) {
@@ -119,6 +120,8 @@ func TestGoldenOutputs(t *testing.T) {
 		{"diff", "", "tsubame-diff", []string{"-before", "testdata/t2-before.csv", "-after", "testdata/t2-after.csv"}},
 		{"fit", "", "tsubame-fit", []string{"-in", "testdata/t2-seed42.csv", "-parallel", "1"}},
 		{"fit-parallel4", "fit", "tsubame-fit", []string{"-in", "testdata/t2-seed42.csv", "-parallel", "4"}},
+		{"profile-t2", "", "tsubame-gen", []string{"-system", "t2", "-export-profile"}},
+		{"profile-t3", "", "tsubame-gen", []string{"-system", "t3", "-export-profile"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

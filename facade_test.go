@@ -130,7 +130,7 @@ func TestFacadeProfilesAndAnonymize(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range anon.Records() {
-		if r.SoftwareCause != "" {
+		if r.SoftwareCause != 0 {
 			t.Fatal("software cause survived anonymization")
 		}
 		if r.Node != "" && r.Node[0] != 'x' {

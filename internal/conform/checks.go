@@ -406,7 +406,7 @@ func tbfShapePooledCheck(shape, tol float64, anchor string) *Check {
 
 func ttrKSPooledCheck(cat failures.Category, median, mean, capHours float64, anchor string) *Check {
 	cdf := mustTruncatedLogNormal(mean, median, capHours).CDF
-	return pooledCheck("pooled-ttr-ks-"+string(cat), anchor,
+	return pooledCheck("pooled-ttr-ks-"+cat.String(), anchor,
 		fmt.Sprintf("KS test of pooled de-seasonalized %s repair times against the calibrated truncated log-normal", cat),
 		"pooled p >= pooled alpha",
 		func(st *poolState, ev *seedEval) { st.samples = append(st.samples, ev.ttr[cat]...) },
@@ -425,7 +425,7 @@ func ttrKSPooledCheck(cat failures.Category, median, mean, capHours float64, anc
 }
 
 func ttrMeanBandCheck(cat failures.Category, lo, hi float64, anchor string) *Check {
-	return pooledCheck("pooled-ttr-mean-"+string(cat), anchor,
+	return pooledCheck("pooled-ttr-mean-"+cat.String(), anchor,
 		fmt.Sprintf("pooled mean de-seasonalized %s repair time matches the published scale", cat),
 		fmt.Sprintf("[%.0f, %.0f] hours", lo, hi),
 		func(st *poolState, ev *seedEval) { st.samples = append(st.samples, ev.ttr[cat]...) },
@@ -444,7 +444,7 @@ func catChisqPooledCheck(a *synth.Profile, anchor string) *Check {
 		"pooled p >= pooled alpha",
 		func(st *poolState, ev *seedEval) {
 			for cat, c := range ev.byCat {
-				st.add(string(cat), float64(c))
+				st.add(cat.String(), float64(c))
 			}
 			st.add("total", float64(ev.n))
 		},
@@ -453,7 +453,7 @@ func catChisqPooledCheck(a *synth.Profile, anchor string) *Check {
 			expected := make([]float64, len(order))
 			total := st.counts["total"]
 			for i, cat := range order {
-				observed[i] = int(st.counts[string(cat)])
+				observed[i] = int(st.counts[cat.String()])
 				expected[i] = shares[i] * total
 			}
 			stat, p, err := stats.ChiSquare(observed, expected)

@@ -33,8 +33,8 @@ type seedEval struct {
 
 	// Repair process. ttr holds de-seasonalized repair hours for the
 	// spec's headline categories; maxTTR the raw per-category maximum.
-	ttr         map[failures.Category][]float64
-	maxTTR      map[failures.Category]float64
+	ttr         failures.PerCategory[[]float64]
+	maxTTR      failures.PerCategory[float64]
 	ttrSumHours float64
 	ttrCount    int
 	// Raw repair sums by calendar half (Figure 11's seasonal contrast).
@@ -72,14 +72,12 @@ func newSeedEval(s *Spec, seed int64, log *failures.Log) (*seedEval, error) {
 		log:           log,
 		n:             n,
 		byCat:         log.ByCategory(),
-		ttr:           make(map[failures.Category][]float64, len(s.ttrCats)),
-		maxTTR:        make(map[failures.Category]float64, len(s.anchored.Categories)),
 		slotIncidents: make([]int, slots),
 		invCounts:     make([]int, len(s.anchored.GPUInvolvementPMF)),
 		clusterRatio:  math.NaN(),
 		causes:        make(map[failures.SoftwareCause]int, 16),
 	}
-	headline := make(map[failures.Category]bool, len(s.ttrCats))
+	var headline failures.PerCategory[bool]
 	for _, c := range s.ttrCats {
 		headline[c] = true
 	}
@@ -154,7 +152,7 @@ func newSeedEval(s *Spec, seed int64, log *failures.Log) (*seedEval, error) {
 		if r.Node != "" && r.Software() && nodeCounts[r.Node] >= 2 {
 			ev.swOnMulti++
 		}
-		if r.SoftwareCause != "" {
+		if r.SoftwareCause != 0 {
 			ev.causes[r.SoftwareCause]++
 		}
 	}

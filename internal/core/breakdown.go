@@ -70,21 +70,23 @@ func SoftwareCauses(log *failures.Log, k int) ([]CauseShare, error) {
 }
 
 func softwareCauses(ix *index.View, k int) ([]CauseShare, error) {
-	counts := make(map[failures.SoftwareCause]int)
+	causes := failures.SoftwareCauses()
+	counts := make([]int, len(causes)) // by Figure 3 position
 	total := 0
 	for _, r := range ix.Records() {
-		if r.SoftwareCause == "" {
-			continue
+		if i := r.SoftwareCause.Index(); i >= 0 {
+			counts[i]++
+			total++
 		}
-		counts[r.SoftwareCause]++
-		total++
 	}
 	if total == 0 {
 		return nil, ErrEmptyLog
 	}
-	out := make([]CauseShare, 0, len(counts))
-	for cause, n := range counts {
-		out = append(out, CauseShare{Cause: cause, Count: n, Percent: 100 * float64(n) / float64(total)})
+	var out []CauseShare
+	for i, n := range counts {
+		if n > 0 {
+			out = append(out, CauseShare{Cause: causes[i], Count: n, Percent: 100 * float64(n) / float64(total)})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {

@@ -22,37 +22,25 @@ type DriftRow struct {
 // CategoryDrift aligns two category breakdowns and returns the share
 // movement per category, sorted by descending |Delta|.
 func CategoryDrift(old, new_ []CategoryShare) []DriftRow {
-	oldShares := make(map[failures.Category]float64, len(old))
-	for _, s := range old {
-		oldShares[s.Category] = s.Percent
-	}
-	newShares := make(map[failures.Category]float64, len(new_))
-	for _, s := range new_ {
-		newShares[s.Category] = s.Percent
-	}
-	seen := make(map[failures.Category]bool)
-	var rows []DriftRow
-	add := func(cat failures.Category) {
-		if seen[cat] {
-			return
+	byCat := make(map[failures.Category]*DriftRow, len(old))
+	for side, shares := range [][]CategoryShare{old, new_} {
+		for _, s := range shares {
+			r := byCat[s.Category]
+			if r == nil {
+				r = &DriftRow{Category: s.Category, OldOnly: side == 0, NewOnly: side == 1}
+				byCat[s.Category] = r
+			}
+			if side == 0 {
+				r.OldPercent = s.Percent
+			} else {
+				r.NewPercent, r.OldOnly = s.Percent, false
+			}
 		}
-		seen[cat] = true
-		o, hasOld := oldShares[cat]
-		n, hasNew := newShares[cat]
-		rows = append(rows, DriftRow{
-			Category:   cat,
-			OldPercent: o,
-			NewPercent: n,
-			Delta:      n - o,
-			OldOnly:    hasOld && !hasNew,
-			NewOnly:    hasNew && !hasOld,
-		})
 	}
-	for _, s := range old {
-		add(s.Category)
-	}
-	for _, s := range new_ {
-		add(s.Category)
+	var rows []DriftRow
+	for _, r := range byCat {
+		r.Delta = r.NewPercent - r.OldPercent
+		rows = append(rows, *r)
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		di, dj := abs(rows[i].Delta), abs(rows[j].Delta)

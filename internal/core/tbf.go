@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/failures"
@@ -113,14 +114,7 @@ func tbfByCategory(ix *index.View, minCount, parallelism int) ([]CategoryDuratio
 // categoriesWithAtLeast returns the categories with minCount+ records in
 // a deterministic order, the fan-out work list of the per-type analyses.
 func categoriesWithAtLeast(counts map[failures.Category]int, minCount int) []failures.Category {
-	cats := make([]failures.Category, 0, len(counts))
-	for cat, n := range counts {
-		if n >= minCount {
-			cats = append(cats, cat)
-		}
-	}
-	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
-	return cats
+	return slices.DeleteFunc(failures.SortedCategories(counts), func(c failures.Category) bool { return counts[c] < minCount })
 }
 
 // collectDurations drops skipped categories and applies the boxplot

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"slices"
 	"sort"
 
 	"repro/internal/failures"
@@ -168,11 +167,7 @@ func TTRSignificanceView(ix *index.View, minCount int) ([]TTRSignificance, error
 	n := len(all)
 	tieSum := stats.TieSum(all)
 	counts := ix.CategoryCounts()
-	cats := make([]failures.Category, 0, len(counts))
-	for cat := range counts {
-		cats = append(cats, cat)
-	}
-	slices.Sort(cats)
+	cats := failures.SortedCategories(counts)
 	// The rest of the log sums its categories' sums in category order, so
 	// RestMeanHours is deterministic and, all terms being non-negative,
 	// free of the cancellation a whole-minus-category difference suffers

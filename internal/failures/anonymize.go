@@ -75,7 +75,7 @@ func Anonymize(log *Log, opts AnonymizeOptions) (*Log, error) {
 			rr.Node = mapping[rr.Node]
 		}
 		if opts.DropSoftwareCauses {
-			rr.SoftwareCause = ""
+			rr.SoftwareCause = 0
 		}
 		if opts.CoarsenTimes {
 			rr.Time = rr.Time.Truncate(24 * 3600e9)

@@ -1,6 +1,145 @@
 package failures
 
-import "testing"
+import (
+	"bytes"
+	"encoding/json"
+	"strings"
+	"testing"
+	"unsafe"
+)
+
+// TestFailureSize pins the record layout: the three 8-bit codes share
+// one word, so a record is 88 bytes, not the 120 it took with string
+// categories and causes.
+func TestFailureSize(t *testing.T) {
+	if got := unsafe.Sizeof(Failure{}); got != 88 {
+		t.Errorf("unsafe.Sizeof(Failure{}) = %d, want 88", got)
+	}
+}
+
+// vocabularies lists every code of both coded vocabularies, the zero
+// code included, with its name.
+func vocabularies() (cats []Category, causes []SoftwareCause) {
+	for c := range categoryNames {
+		cats = append(cats, Category(c))
+	}
+	for c := range causeNames {
+		causes = append(causes, SoftwareCause(c))
+	}
+	return cats, causes
+}
+
+// TestCodesOrderAsNames checks, over every pair of codes, that codes
+// compare as their names do, which is what keeps sorts and map-key
+// orders of the string-typed vocabularies unchanged.
+func TestCodesOrderAsNames(t *testing.T) {
+	cats, causes := vocabularies()
+	for _, a := range cats {
+		for _, b := range cats {
+			if (a < b) != (a.String() < b.String()) {
+				t.Errorf("categories %d (%q) and %d (%q) order unlike their names", a, a, b, b)
+			}
+		}
+	}
+	for _, a := range causes {
+		for _, b := range causes {
+			if (a < b) != (a.String() < b.String()) {
+				t.Errorf("causes %d (%q) and %d (%q) order unlike their names", a, a, b, b)
+			}
+		}
+	}
+	if Category(0).String() != "" || SoftwareCause(0).String() != "" {
+		t.Errorf("zero codes print %q and %q, want empty names", Category(0), SoftwareCause(0))
+	}
+	if got := Category(99).String(); got != "Category(99)" {
+		t.Errorf("out-of-range category prints %q", got)
+	}
+}
+
+// TestNamesRoundTrip parses every name back to its code, through
+// ParseCategory for the system whose taxonomy lists it, through
+// ParseSoftwareCause, and through UnmarshalText, and rejects an unknown
+// name by name.
+func TestNamesRoundTrip(t *testing.T) {
+	for _, s := range []System{Tsubame2, Tsubame3} {
+		for _, c := range Categories(s) {
+			got, err := ParseCategory(s, c.String())
+			if err != nil || got != c {
+				t.Errorf("ParseCategory(%v, %q) = %v, %v", s, c, got, err)
+			}
+		}
+	}
+	cats, causes := vocabularies()
+	for _, c := range cats {
+		var got Category
+		if err := got.UnmarshalText([]byte(c.String())); err != nil || got != c {
+			t.Errorf("UnmarshalText(%q) = %v, %v", c, got, err)
+		}
+	}
+	for _, c := range causes {
+		got, err := ParseSoftwareCause(c.String())
+		if err != nil || got != c {
+			t.Errorf("ParseSoftwareCause(%q) = %v, %v", c, got, err)
+		}
+		var text SoftwareCause
+		if err := text.UnmarshalText([]byte(c.String())); err != nil || text != c {
+			t.Errorf("UnmarshalText(%q) = %v, %v", c, text, err)
+		}
+	}
+	var cat Category
+	var cause SoftwareCause
+	for name, err := range map[string]error{
+		"ParseCategory":               func() error { _, err := ParseCategory(Tsubame3, "Warp"); return err }(),
+		"ParseSoftwareCause":          func() error { _, err := ParseSoftwareCause("Warp"); return err }(),
+		"Category.UnmarshalText":      cat.UnmarshalText([]byte("Warp")),
+		"SoftwareCause.UnmarshalText": cause.UnmarshalText([]byte("Warp")),
+	} {
+		if err == nil || !strings.Contains(err.Error(), `"Warp"`) {
+			t.Errorf("%s of an unknown name: error %v, want one naming it", name, err)
+		}
+	}
+}
+
+// TestCodesEncodeAsNames compares the JSON of coded vocabularies, as
+// slices and as map keys, with the same values typed as strings: the
+// bytes every profile, report and manifest carried before the codes.
+func TestCodesEncodeAsNames(t *testing.T) {
+	cats, causes := vocabularies()
+	catNames := make([]string, len(cats))
+	catCounts, catOracle := map[Category]int{}, map[string]int{}
+	for i, c := range cats {
+		catNames[i] = c.String()
+		catCounts[c], catOracle[c.String()] = i, i
+	}
+	causeCounts, causeOracle := map[SoftwareCause]float64{}, map[string]float64{}
+	for i, c := range causes {
+		causeCounts[c], causeOracle[c.String()] = float64(i)/3, float64(i)/3
+	}
+	for _, c := range []struct {
+		name        string
+		coded, want any
+	}{
+		{"[]Category", cats, catNames},
+		{"map[Category]int", catCounts, catOracle},
+		{"map[SoftwareCause]float64", causeCounts, causeOracle},
+	} {
+		got, err := json.Marshal(c.coded)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want, err := json.Marshal(c.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s encodes as\n%s\nwant\n%s", c.name, got, want)
+		}
+	}
+	var back []Category
+	if err := json.Unmarshal([]byte(`["GPU","","VM"]`), &back); err != nil || len(back) != 3 || back[0] != CatGPU || back[1] != 0 || back[2] != CatVM {
+		t.Errorf("decoding names: %v, %v", back, err)
+	}
+}
 
 func TestCategoriesMatchTableII(t *testing.T) {
 	t2 := Categories(Tsubame2)
@@ -18,9 +157,9 @@ func TestCategoriesMatchTableII(t *testing.T) {
 
 func TestCategoriesReturnsCopy(t *testing.T) {
 	a := Categories(Tsubame2)
-	a[0] = "Tampered"
+	a[0] = CatVM
 	b := Categories(Tsubame2)
-	if b[0] == "Tampered" {
+	if b[0] == CatVM {
 		t.Error("Categories aliases internal state")
 	}
 }
@@ -38,7 +177,8 @@ func TestCategoryValidFor(t *testing.T) {
 		{CatOmniPath, Tsubame3, true},
 		{CatOmniPath, Tsubame2, false},
 		{CatSXM2Board, Tsubame3, true},
-		{"Nonsense", Tsubame2, false},
+		{Category(99), Tsubame2, false},
+		{0, Tsubame2, false},
 	}
 	for _, tt := range tests {
 		if got := tt.cat.ValidFor(tt.system); got != tt.want {
@@ -101,12 +241,12 @@ func TestSoftwareCauses(t *testing.T) {
 			t.Errorf("listed cause %q reports invalid", c)
 		}
 	}
-	if SoftwareCause("Bogus").Valid() {
+	if SoftwareCause(99).Valid() || SoftwareCause(0).Valid() {
 		t.Error("unknown cause should be invalid")
 	}
 	// Returned slice is a copy.
-	causes[0] = "Tampered"
-	if SoftwareCauses()[0] == "Tampered" {
+	causes[0] = CauseNFS
+	if SoftwareCauses()[0] == CauseNFS {
 		t.Error("SoftwareCauses aliases internal state")
 	}
 }

@@ -12,7 +12,9 @@ import (
 )
 
 // System identifies which supercomputer generation a record belongs to.
-type System int
+// It is an 8-bit code, as Category and SoftwareCause are, so the three
+// fit together in one word of a Failure.
+type System int8
 
 // The two studied systems. Values start at 1 so the zero value is invalid
 // and cannot be mistaken for a real system.
@@ -58,13 +60,16 @@ type Failure struct {
 	ID int
 	// System is the machine generation the failure occurred on.
 	System System
+	// Category is the reported failure category (Table II).
+	Category Category
+	// SoftwareCause is the root locus of a software failure (Figure 3);
+	// zero for non-software failures.
+	SoftwareCause SoftwareCause
 	// Time is the moment of failure occurrence.
 	Time time.Time
 	// Recovery is the time taken to completely repair the failure and
 	// return to normal operational status.
 	Recovery time.Duration
-	// Category is the reported failure category (Table II).
-	Category Category
 	// Node is the identifier of the affected compute node. Empty for
 	// system-level failures that are not attributable to a node (rack,
 	// network fabric, PBS, ...).
@@ -72,9 +77,6 @@ type Failure struct {
 	// GPUs lists the GPU slot indices involved, for failures that touch
 	// GPUs. The paper's Table III counts the size of this set.
 	GPUs []int
-	// SoftwareCause is the root locus of a software failure (Figure 3);
-	// empty for non-software failures.
-	SoftwareCause SoftwareCause
 }
 
 // Hardware reports whether the failure's category is a hardware category.
@@ -119,10 +121,10 @@ func (f Failure) Validate() error {
 			}
 		}
 	}
-	if f.SoftwareCause != "" && !f.Software() {
+	if f.SoftwareCause != 0 && !f.Software() {
 		return fmt.Errorf("failures: record %d has software cause %q but non-software category %q", f.ID, f.SoftwareCause, f.Category)
 	}
-	if f.SoftwareCause != "" && !f.SoftwareCause.Valid() {
+	if f.SoftwareCause != 0 && !f.SoftwareCause.Valid() {
 		return fmt.Errorf("failures: record %d has unknown software cause %q", f.ID, f.SoftwareCause)
 	}
 	return nil

@@ -87,7 +87,7 @@ func TestFailureValidate(t *testing.T) {
 		{"unknown software cause", func(f *Failure) {
 			f.Category = CatOtherSW
 			f.GPUs = nil
-			f.SoftwareCause = "Bogus"
+			f.SoftwareCause = 99
 		}, true},
 		{"valid software cause", func(f *Failure) {
 			f.Category = CatOtherSW

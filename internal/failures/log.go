@@ -279,9 +279,15 @@ func (l *Log) Filter(keep func(Failure) bool) *Log {
 
 // ByCategory groups record counts per category.
 func (l *Log) ByCategory() map[Category]int {
+	var counts PerCategory[int]
+	for i := range l.records {
+		counts[l.records[i].Category]++
+	}
 	out := make(map[Category]int)
-	for _, r := range l.records {
-		out[r.Category]++
+	for c, n := range counts {
+		if n > 0 {
+			out[Category(c)] = n
+		}
 	}
 	return out
 }

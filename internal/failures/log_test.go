@@ -322,7 +322,7 @@ func TestAnonymizeScrubOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := anon.At(0)
-	if r.SoftwareCause != "" {
+	if r.SoftwareCause != 0 {
 		t.Error("software cause not dropped")
 	}
 	if r.Time.Hour() != 0 || r.Time.Minute() != 0 {

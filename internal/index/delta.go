@@ -1,6 +1,7 @@
 package index
 
 import (
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -69,10 +70,7 @@ func nextView(prev *View, log *failures.Log, delta []failures.Failure, atTail bo
 	// Order-independent facets hold regardless of where the delta landed
 	// in the log: counts count, sorted arenas are multisets.
 	if prev.catCountsOnce.Done() {
-		counts := make(map[failures.Category]int, len(prev.catCounts)+1)
-		for cat, n := range prev.catCounts {
-			counts[cat] = n
-		}
+		counts := maps.Clone(prev.catCounts)
 		for i := range delta {
 			counts[delta[i].Category]++
 		}
@@ -162,11 +160,7 @@ func nextView(prev *View, log *failures.Log, delta []failures.Failure, atTail bo
 	// gaps against nil, silently dropping gap samples.
 	partitionDone := prev.partitionOnce.Done()
 	if partitionDone {
-		byCat := make(map[failures.Category][]failures.Failure, len(prev.catRecords)+1)
-		for cat, recs := range prev.catRecords {
-			byCat[cat] = recs
-		}
-		gpu := prev.gpuRecords
+		byCat, gpu := prev.catRecords, prev.gpuRecords
 		for i := range delta {
 			cat := delta[i].Category
 			byCat[cat] = append(byCat[cat], delta[i])
@@ -179,50 +173,32 @@ func nextView(prev *View, log *failures.Log, delta []failures.Failure, atTail bo
 	if partitionDone && prev.catSeriesOnce.Done() {
 		// prev.catRecords feeds the per-category bridges; the partitionDone
 		// snapshot guarantees it was carried into next alongside catSeries.
-		deltaByCat := make(map[failures.Category][]failures.Failure)
+		var deltaByCat failures.PerCategory[[]failures.Failure]
 		for i := range delta {
 			deltaByCat[delta[i].Category] = append(deltaByCat[delta[i].Category], delta[i])
 		}
-		gapsM := make(map[failures.Category][]float64, len(prev.catGaps)+1)
-		recovM := make(map[failures.Category][]float64, len(prev.catRecovery)+1)
-		for cat, xs := range prev.catGaps {
-			gapsM[cat] = xs
-		}
-		for cat, xs := range prev.catRecovery {
-			recovM[cat] = xs
-		}
-		freshByCat := make(map[failures.Category][]float64, len(deltaByCat))
+		gapsM, recovM := prev.catGaps, prev.catRecovery
+		var freshByCat failures.PerCategory[[]float64]
 		for cat, dcat := range deltaByCat {
+			if len(dcat) == 0 {
+				continue
+			}
 			fresh := bridgeGaps(prev.catRecords[cat], dcat)
 			freshByCat[cat] = fresh
-			if len(fresh) > 0 {
-				gapsM[cat] = append(gapsM[cat], fresh...)
-			} else if _, ok := gapsM[cat]; !ok {
-				// Single-record new category: present in the batch build's
-				// maps with a nil series.
-				gapsM[cat] = nil
-			}
-			recov := recovM[cat]
+			gapsM[cat] = append(gapsM[cat], fresh...)
 			for i := range dcat {
-				recov = append(recov, dcat[i].Recovery.Hours())
+				recovM[cat] = append(recovM[cat], dcat[i].Recovery.Hours())
 			}
-			recovM[cat] = recov
 		}
 		next.catSeriesOnce.Do(func() { next.catGaps, next.catRecovery = gapsM, recovM })
 		if prev.catSortedOnce.Done() {
-			gapsS := make(map[failures.Category][]float64, len(prev.catGapsSorted)+1)
-			recovS := make(map[failures.Category][]float64, len(prev.catRecoverySorted)+1)
-			for cat, xs := range prev.catGapsSorted {
-				gapsS[cat] = xs
-			}
-			for cat, xs := range prev.catRecoverySorted {
-				recovS[cat] = xs
-			}
+			gapsS, recovS := prev.catGapsSorted, prev.catRecoverySorted
 			for cat, dcat := range deltaByCat {
+				if len(dcat) == 0 {
+					continue
+				}
 				if fresh := freshByCat[cat]; len(fresh) > 0 {
 					gapsS[cat] = mergeSortedFloats(gapsS[cat], sortedCopy(fresh))
-				} else if _, ok := gapsS[cat]; !ok {
-					gapsS[cat] = nil
 				}
 				recovS[cat] = mergeSortedFloats(recovS[cat], sortedCopy(recoveryHours(dcat)))
 			}

@@ -58,7 +58,7 @@ type View struct {
 	nodes      []string
 
 	partitionOnce facetOnce
-	catRecords    map[failures.Category][]failures.Failure
+	catRecords    failures.PerCategory[[]failures.Failure]
 	gpuRecords    []failures.Failure
 
 	gapsOnce facetOnce
@@ -74,12 +74,12 @@ type View struct {
 	sortedRecovery     []float64
 
 	catSeriesOnce facetOnce
-	catGaps       map[failures.Category][]float64
-	catRecovery   map[failures.Category][]float64
+	catGaps       failures.PerCategory[[]float64]
+	catRecovery   failures.PerCategory[[]float64]
 
 	catSortedOnce     facetOnce
-	catGapsSorted     map[failures.Category][]float64
-	catRecoverySorted map[failures.Category][]float64
+	catGapsSorted     failures.PerCategory[[]float64]
+	catRecoverySorted failures.PerCategory[[]float64]
 
 	monthlyOnce   facetOnce
 	monthlyRecov  map[time.Month][]float64
@@ -130,12 +130,7 @@ func (v *View) Records() []failures.Failure {
 func (v *View) CategoryCounts() map[failures.Category]int {
 	v.catCountsOnce.Do(func() {
 		defer obs.StartSpan("index/category-counts").End()
-		records := v.Records()
-		counts := make(map[failures.Category]int)
-		for i := range records {
-			counts[records[i].Category]++
-		}
-		v.catCounts = counts
+		v.catCounts = v.log.ByCategory()
 	})
 	return v.catCounts
 }
@@ -177,7 +172,7 @@ func (v *View) buildNodes() {
 // (shared slice, read-only; nil for an absent category).
 func (v *View) CategoryRecords(cat failures.Category) []failures.Failure {
 	v.buildPartitions()
-	return v.catRecords[cat]
+	return v.catRecords.At(cat)
 }
 
 // GPURecords returns the chronological sub-slice of records whose
@@ -192,12 +187,11 @@ func (v *View) buildPartitions() {
 	v.partitionOnce.Do(func() {
 		defer obs.StartSpan("index/partitions").End()
 		records := v.Records()
-		counts := v.CategoryCounts()
 		// Exact-capacity partitions: one allocation per category instead of
-		// an append growth ladder over 128-byte record structs.
-		byCat := make(map[failures.Category][]failures.Failure, len(counts))
+		// an append growth ladder over 88-byte record structs.
+		var byCat failures.PerCategory[[]failures.Failure]
 		gpuTotal := 0
-		for cat, n := range counts {
+		for cat, n := range v.CategoryCounts() {
 			byCat[cat] = make([]failures.Failure, 0, n)
 			if cat.GPURelated() {
 				gpuTotal += n
@@ -263,28 +257,24 @@ func (v *View) SortedRecoveryHours() []float64 {
 // Filter(category).InterarrivalHours() produced (shared, read-only).
 func (v *View) CategoryGaps(cat failures.Category) []float64 {
 	v.buildCategorySeries()
-	return v.catGaps[cat]
+	return v.catGaps.At(cat)
 }
 
 // CategoryRecovery returns the recovery hours of one category's records
 // in chronological order (shared, read-only).
 func (v *View) CategoryRecovery(cat failures.Category) []float64 {
 	v.buildCategorySeries()
-	return v.catRecovery[cat]
+	return v.catRecovery.At(cat)
 }
 
 func (v *View) buildCategorySeries() {
 	v.catSeriesOnce.Do(func() {
 		defer obs.StartSpan("index/category-series").End()
-		parts := v.CategoryCounts() // sizes the per-category slices exactly
-		gaps := make(map[failures.Category][]float64, len(parts))
-		recov := make(map[failures.Category][]float64, len(parts))
 		v.buildPartitions()
 		for cat, records := range v.catRecords {
-			gaps[cat] = interarrival(records)
-			recov[cat] = recoveryHours(records)
+			v.catGaps[cat] = interarrival(records)
+			v.catRecovery[cat] = recoveryHours(records)
 		}
-		v.catGaps, v.catRecovery = gaps, recov
 	})
 }
 
@@ -292,29 +282,24 @@ func (v *View) buildCategorySeries() {
 // (shared, read-only).
 func (v *View) SortedCategoryGaps(cat failures.Category) []float64 {
 	v.buildCategorySorted()
-	return v.catGapsSorted[cat]
+	return v.catGapsSorted.At(cat)
 }
 
 // SortedCategoryRecovery returns the ascending-sorted per-category
 // recovery arena (shared, read-only).
 func (v *View) SortedCategoryRecovery(cat failures.Category) []float64 {
 	v.buildCategorySorted()
-	return v.catRecoverySorted[cat]
+	return v.catRecoverySorted.At(cat)
 }
 
 func (v *View) buildCategorySorted() {
 	v.catSortedOnce.Do(func() {
 		defer obs.StartSpan("index/category-series-sorted").End()
 		v.buildCategorySeries()
-		gaps := make(map[failures.Category][]float64, len(v.catGaps))
-		recov := make(map[failures.Category][]float64, len(v.catRecovery))
-		for cat, xs := range v.catGaps {
-			gaps[cat] = sortedCopy(xs)
+		for cat := range v.catGaps {
+			v.catGapsSorted[cat] = sortedCopy(v.catGaps[cat])
+			v.catRecoverySorted[cat] = sortedCopy(v.catRecovery[cat])
 		}
-		for cat, xs := range v.catRecovery {
-			recov[cat] = sortedCopy(xs)
-		}
-		v.catGapsSorted, v.catRecoverySorted = gaps, recov
 	})
 }
 

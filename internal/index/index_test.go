@@ -112,11 +112,11 @@ func TestSortedArenas(t *testing.T) {
 			struct {
 				name         string
 				chrono, made []float64
-			}{string(cat) + "-gaps", ix.CategoryGaps(cat), ix.SortedCategoryGaps(cat)},
+			}{cat.String() + "-gaps", ix.CategoryGaps(cat), ix.SortedCategoryGaps(cat)},
 			struct {
 				name         string
 				chrono, made []float64
-			}{string(cat) + "-recovery", ix.CategoryRecovery(cat), ix.SortedCategoryRecovery(cat)},
+			}{cat.String() + "-recovery", ix.CategoryRecovery(cat), ix.SortedCategoryRecovery(cat)},
 		)
 	}
 	for m, xs := range ix.MonthlyRecoveryHours() {

@@ -23,7 +23,7 @@ func TestViewInvariantUnderPermutation(t *testing.T) {
 	testutil.RequireDeepEqual(t, base.SortedRecoveryHours(), permuted.SortedRecoveryHours(), "sorted recoveries")
 	testutil.RequireDeepEqual(t, base.GPURecords(), permuted.GPURecords(), "GPU partition")
 	for cat := range base.CategoryCounts() {
-		testutil.RequireDeepEqual(t, base.CategoryRecords(cat), permuted.CategoryRecords(cat), "category partition "+string(cat))
+		testutil.RequireDeepEqual(t, base.CategoryRecords(cat), permuted.CategoryRecords(cat), "category partition "+cat.String())
 	}
 }
 

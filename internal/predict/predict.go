@@ -17,7 +17,7 @@ import (
 // value is unusable; construct with NewEWMARate.
 type EWMARate struct {
 	alpha float64
-	state map[failures.Category]*ewmaState
+	state failures.PerCategory[ewmaState]
 }
 
 type ewmaState struct {
@@ -32,15 +32,15 @@ func NewEWMARate(alpha float64) (*EWMARate, error) {
 	if !(alpha > 0) || alpha > 1 {
 		return nil, fmt.Errorf("predict: alpha %v outside (0, 1]", alpha)
 	}
-	return &EWMARate{alpha: alpha, state: make(map[failures.Category]*ewmaState)}, nil
+	return &EWMARate{alpha: alpha}, nil
 }
 
 // Observe records a failure of cat at time now (hours). Out-of-order
 // observations are ignored.
 func (e *EWMARate) Observe(cat failures.Category, now float64) {
-	st, ok := e.state[cat]
-	if !ok {
-		e.state[cat] = &ewmaState{lastSeen: now, observed: 1}
+	st := &e.state[cat]
+	if st.observed == 0 {
+		*st = ewmaState{lastSeen: now, observed: 1}
 		return
 	}
 	gap := now - st.lastSeen
@@ -59,8 +59,8 @@ func (e *EWMARate) Observe(cat failures.Category, now float64) {
 // RatePerHour returns the estimated failure rate of cat, or 0 before two
 // observations exist.
 func (e *EWMARate) RatePerHour(cat failures.Category) float64 {
-	st, ok := e.state[cat]
-	if !ok || st.observed < 2 || st.meanGap <= 0 {
+	st := e.state.At(cat)
+	if st.observed < 2 || st.meanGap <= 0 {
 		return 0
 	}
 	return 1 / st.meanGap
@@ -77,9 +77,5 @@ func (e *EWMARate) ExpectedWithin(cat failures.Category, horizon float64) float6
 
 // Observations returns how many failures of cat have been seen.
 func (e *EWMARate) Observations(cat failures.Category) int {
-	st, ok := e.state[cat]
-	if !ok {
-		return 0
-	}
-	return st.observed
+	return e.state.At(cat).observed
 }

@@ -216,21 +216,8 @@ func Compare(cc CompareConfig) (*Report, error) {
 // output is deterministic.
 func sortedRows(m map[failures.Category]CategoryRow) []CategoryRow {
 	rows := make([]CategoryRow, 0, len(m))
-	for _, cat := range sortedCats(m) {
+	for _, cat := range failures.SortedCategories(m) {
 		rows = append(rows, m[cat])
 	}
 	return rows
-}
-
-func sortedCats(m map[failures.Category]CategoryRow) []failures.Category {
-	cats := make([]failures.Category, 0, len(m))
-	for cat := range m {
-		cats = append(cats, cat)
-	}
-	for i := 1; i < len(cats); i++ {
-		for j := i; j > 0 && cats[j] < cats[j-1]; j-- {
-			cats[j], cats[j-1] = cats[j-1], cats[j]
-		}
-	}
-	return cats
 }

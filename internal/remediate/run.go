@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/dist"
 	"repro/internal/failures"
@@ -336,7 +335,7 @@ func Run(cfg Config) (*Result, error) {
 	r.procs = make([]procRun, len(cfg.Processes))
 	for i, p := range cfg.Processes {
 		r.procs[i].proc = p
-		r.procs[i].arrivalRNG = dist.Fork(cfg.Seed, "remediate/arrival/"+string(p.Category))
+		r.procs[i].arrivalRNG = dist.Fork(cfg.Seed, "remediate/arrival/"+p.Category.String())
 	}
 
 	r.eng.SetHandler(r.handle)
@@ -712,10 +711,5 @@ func (r *run) handleVerifyDone(n int32) {
 // SortedCategories returns the result's categories in lexical order, the
 // deterministic iteration order for reports.
 func (res *Result) SortedCategories() []failures.Category {
-	cats := make([]failures.Category, 0, len(res.PerCategory))
-	for cat := range res.PerCategory {
-		cats = append(cats, cat)
-	}
-	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
-	return cats
+	return failures.SortedCategories(res.PerCategory)
 }

@@ -122,7 +122,7 @@ func DriftTable(cmp *core.Comparison) string {
 		if r.OldOnly {
 			newCell = "-"
 		}
-		t.RowStrings(string(r.Category), oldCell, newCell, fmt.Sprintf("%+.2f", r.Delta))
+		t.RowStrings(r.Category.String(), oldCell, newCell, fmt.Sprintf("%+.2f", r.Delta))
 	}
 	return t.String()
 }
@@ -132,7 +132,7 @@ func SignificanceTable(system string, rows []core.TTRSignificance) string {
 	t := NewTable(fmt.Sprintf("Recovery-time significance on %s (one-vs-rest Mann-Whitney).", system),
 		"Category", "N", "Mean (h)", "Rest (h)", "p")
 	for _, r := range rows {
-		t.RowStrings(string(r.Category), fmt.Sprintf("%d", r.N),
+		t.RowStrings(r.Category.String(), fmt.Sprintf("%d", r.N),
 			fmt.Sprintf("%.1f", r.MeanHours), fmt.Sprintf("%.1f", r.RestMeanHours),
 			fmt.Sprintf("%.4f", r.P))
 	}

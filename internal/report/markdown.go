@@ -81,7 +81,7 @@ func markdownBreakdown(s *core.Study) string {
 	t := NewTable(fmt.Sprintf("%v failure categories (Figure 2)", s.System),
 		"Category", "Count", "Share")
 	for _, share := range s.Breakdown {
-		t.RowStrings(string(share.Category), fmt.Sprintf("%d", share.Count),
+		t.RowStrings(share.Category.String(), fmt.Sprintf("%d", share.Count),
 			fmt.Sprintf("%.2f%%", share.Percent))
 	}
 	return t.Markdown()
@@ -94,7 +94,7 @@ func markdownCauses(s *core.Study) string {
 	t := NewTable(fmt.Sprintf("%v software root loci (Figure 3)", s.System),
 		"Root locus", "Count", "Share")
 	for _, c := range s.SoftwareTop {
-		t.RowStrings(string(c.Cause), fmt.Sprintf("%d", c.Count), fmt.Sprintf("%.2f%%", c.Percent))
+		t.RowStrings(c.Cause.String(), fmt.Sprintf("%d", c.Count), fmt.Sprintf("%.2f%%", c.Percent))
 	}
 	return t.Markdown()
 }

@@ -43,10 +43,10 @@ func TableII() string {
 	for i := 0; i < n; i++ {
 		var a, b string
 		if i < len(t2) {
-			a = string(t2[i])
+			a = t2[i].String()
 		}
 		if i < len(t3) {
-			b = string(t3[i])
+			b = t3[i].String()
 		}
 		t.RowStrings(a, b)
 	}
@@ -58,7 +58,7 @@ func Fig2(s *core.Study) string {
 	labels := make([]string, len(s.Breakdown))
 	values := make([]float64, len(s.Breakdown))
 	for i, share := range s.Breakdown {
-		labels[i] = string(share.Category)
+		labels[i] = share.Category.String()
 		values[i] = share.Percent
 	}
 	title := fmt.Sprintf("Figure 2. %v failure categories (%d failures).", s.System, s.Records)
@@ -73,7 +73,7 @@ func Fig3(s *core.Study) string {
 	labels := make([]string, len(s.SoftwareTop))
 	values := make([]float64, len(s.SoftwareTop))
 	for i, c := range s.SoftwareTop {
-		labels[i] = string(c.Cause)
+		labels[i] = c.Cause.String()
 		values[i] = c.Percent
 	}
 	title := fmt.Sprintf("Figure 3. %v software-failure root loci (top %d).", s.System, len(labels))
@@ -265,7 +265,7 @@ func perTypeBoxes(title string, rows []core.CategoryDurations) string {
 	labels := make([]string, len(rows))
 	summaries := make([]stats.Summary, len(rows))
 	for i, r := range rows {
-		labels[i] = string(r.Category)
+		labels[i] = r.Category.String()
 		summaries[i] = r.Summary
 	}
 	return BoxPlot(title, labels, summaries, 50)

@@ -386,8 +386,8 @@ func Run(cfg Config) (*Result, error) {
 	for i, p := range cfg.Processes {
 		st := &states[i]
 		st.proc = p
-		st.arrivalRNG = dist.Fork(cfg.Seed, "arrival/"+string(p.Category))
-		st.repairRNG = dist.Fork(cfg.Seed, "repair/"+string(p.Category))
+		st.arrivalRNG = dist.Fork(cfg.Seed, "arrival/"+p.Category.String())
+		st.repairRNG = dist.Fork(cfg.Seed, "repair/"+p.Category.String())
 		st.lastArrival = math.Inf(-1)
 		if len(p.Involvement) > 0 {
 			alias, err := sample.NewAlias(p.Involvement)

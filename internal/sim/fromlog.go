@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dist"
 	"repro/internal/failures"
@@ -23,16 +22,11 @@ func ProcessesFromLog(log *failures.Log, minCount int) ([]FailureProcess, error)
 		minCount = 3
 	}
 	counts := log.ByCategory()
-	cats := make([]failures.Category, 0, len(counts))
-	for cat, n := range counts {
-		if n >= minCount {
-			cats = append(cats, cat)
-		}
-	}
-	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
 	var procs []FailureProcess
-	for _, cat := range cats {
-		cat := cat
+	for _, cat := range failures.SortedCategories(counts) {
+		if counts[cat] < minCount {
+			continue
+		}
 		sub := log.Filter(func(f failures.Failure) bool { return f.Category == cat })
 		gaps := sub.InterarrivalHours()
 		gaps = positiveOnly(gaps)

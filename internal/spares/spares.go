@@ -79,7 +79,7 @@ func (s *store) outstanding() int { return s.stock + len(s.pending) }
 type FixedStock struct {
 	InitialStock  int
 	LeadTimeHours float64
-	stores        map[failures.Category]*store
+	stores        failures.PerCategory[*store]
 }
 
 // NewFixedStock builds the policy. initial must be non-negative and lead
@@ -94,17 +94,14 @@ func NewFixedStock(initial int, leadTimeHours float64) (*FixedStock, error) {
 	return &FixedStock{
 		InitialStock:  initial,
 		LeadTimeHours: leadTimeHours,
-		stores:        make(map[failures.Category]*store),
 	}, nil
 }
 
 func (f *FixedStock) storeFor(cat failures.Category) *store {
-	s, ok := f.stores[cat]
-	if !ok {
-		s = &store{stock: f.InitialStock}
-		f.stores[cat] = s
+	if f.stores[cat] == nil {
+		f.stores[cat] = &store{stock: f.InitialStock}
 	}
-	return s
+	return f.stores[cat]
 }
 
 // Observe implements the parts policy; the S-1 policy reorders on
@@ -136,7 +133,7 @@ type Predictive struct {
 	SafetyFactor float64
 	// Predictor estimates per-category failure rates (failures/hour).
 	Predictor RatePredictor
-	stores    map[failures.Category]*store
+	stores    failures.PerCategory[*store]
 }
 
 // RatePredictor estimates a per-category failure rate from observed
@@ -161,17 +158,14 @@ func NewPredictive(predictor RatePredictor, leadTimeHours, safetyFactor float64)
 		LeadTimeHours: leadTimeHours,
 		SafetyFactor:  safetyFactor,
 		Predictor:     predictor,
-		stores:        make(map[failures.Category]*store),
 	}, nil
 }
 
 func (p *Predictive) storeFor(cat failures.Category) *store {
-	s, ok := p.stores[cat]
-	if !ok {
-		s = &store{}
-		p.stores[cat] = s
+	if p.stores[cat] == nil {
+		p.stores[cat] = &store{}
 	}
-	return s
+	return p.stores[cat]
 }
 
 // Observe feeds the predictor and tops up stock to the predicted

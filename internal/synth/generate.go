@@ -198,7 +198,7 @@ func assignRecoveries(p *Profile, records []failures.Failure, rng *rand.Rand) er
 		d   dist.Distribution
 		cap float64
 	}
-	samplers := make(map[failures.Category]sampler, len(p.Categories))
+	var samplers failures.PerCategory[sampler]
 	for _, c := range p.Categories {
 		if c.Count == 0 {
 			continue
@@ -214,8 +214,8 @@ func assignRecoveries(p *Profile, records []failures.Failure, rng *rand.Rand) er
 		samplers[c.Category] = sampler{d: tr, cap: c.TTR.CapHours}
 	}
 	for i := range records {
-		s, ok := samplers[records[i].Category]
-		if !ok {
+		s := samplers.At(records[i].Category)
+		if s.d == nil {
 			return fmt.Errorf("synth: record %d has category %q outside the profile mix", records[i].ID, records[i].Category)
 		}
 		hours := s.d.Sample(rng) * p.MonthlyTTRMultipliers[records[i].Time.Month()-1]

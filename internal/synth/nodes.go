@@ -17,7 +17,7 @@ import (
 // nodes matches the profile target (the paper's RQ2 hardware/software
 // split). sampler is the node sampler to refill (see pickAffectedNodes).
 func assignNodes(p *Profile, records []failures.Failure, rng *rand.Rand, sampler *sample.Fenwick) error {
-	attributable := make(map[failures.Category]bool, len(p.Categories))
+	var attributable failures.PerCategory[bool]
 	for _, c := range p.Categories {
 		attributable[c.Category] = c.NodeAttributable
 	}

@@ -68,7 +68,7 @@ func TestProfileValidationCatchesErrors(t *testing.T) {
 		{"node PMF zero count", func(p *Profile) { p.NodeCountPMF = map[int]float64{0: 1} }},
 		{"cluster fraction out of range", func(p *Profile) { p.ClusterFraction = 1.5 }},
 		{"cause sum mismatch", func(p *Profile) { p.SoftwareCauses = []CauseCount{{failures.CauseGPUDriver, 3}} }},
-		{"invalid cause", func(p *Profile) { p.SoftwareCauses[0].Cause = "Bogus" }},
+		{"invalid cause", func(p *Profile) { p.SoftwareCauses[0].Cause = 99 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -161,7 +161,7 @@ func TestGenerateSoftwareCausesExact(t *testing.T) {
 	log := generateT3(t)
 	counts := make(map[failures.SoftwareCause]int)
 	for _, r := range log.Records() {
-		if r.SoftwareCause != "" {
+		if r.SoftwareCause != 0 {
 			counts[r.SoftwareCause]++
 		}
 	}

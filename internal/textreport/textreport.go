@@ -11,6 +11,7 @@ package textreport
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -129,22 +130,10 @@ func renderDigest(w io.Writer, s *core.DigestSummary) {
 
 	// Category mix of the period.
 	fmt.Fprintln(w, "\nFailures by category:")
-	type catRow struct {
-		cat failures.Category
-		n   int
-	}
-	var rows []catRow
-	for cat, n := range s.ByCategory {
-		rows = append(rows, catRow{cat, n})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].n != rows[j].n {
-			return rows[i].n > rows[j].n
-		}
-		return rows[i].cat < rows[j].cat
-	})
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-14s %d\n", r.cat, r.n)
+	cats := failures.SortedCategories(s.ByCategory)
+	sort.SliceStable(cats, func(i, j int) bool { return s.ByCategory[cats[i]] > s.ByCategory[cats[j]] })
+	for _, cat := range cats {
+		fmt.Fprintf(w, "  %-14s %d\n", cat, s.ByCategory[cat])
 	}
 
 	// Worst nodes of the period.
@@ -274,20 +263,13 @@ func (cs *catSamples) add(r *failures.Failure) {
 // every sample.
 func fitSamples(log *failures.Log, minCount int) (titles []string, samples [][]float64) {
 	counts := log.ByCategory()
-	fitted := make(map[failures.Category]*catSamples, len(counts))
-	var cats []failures.Category
-	for cat, n := range counts {
-		if n >= minCount {
-			cats = append(cats, cat)
-			fitted[cat] = newCatSamples(n)
-		}
+	cats := slices.DeleteFunc(failures.SortedCategories(counts), func(c failures.Category) bool { return counts[c] < minCount })
+	var fitted failures.PerCategory[*catSamples]
+	for _, cat := range cats {
+		fitted[cat] = newCatSamples(counts[cat])
 	}
-	sort.Slice(cats, func(i, j int) bool {
-		if counts[cats[i]] != counts[cats[j]] {
-			return counts[cats[i]] > counts[cats[j]]
-		}
-		return cats[i] < cats[j]
-	})
+	// Name order breaks count ties.
+	sort.SliceStable(cats, func(i, j int) bool { return counts[cats[i]] > counts[cats[j]] })
 
 	all := newCatSamples(log.Len())
 	for i := 0; i < log.Len(); i++ {

@@ -111,7 +111,10 @@ func (c *chunkReader) next(buf []byte) ([]byte, error) {
 		for size <= len(buf) {
 			size *= 2
 		}
-		buf = slices.Grow(buf, size-len(buf))
+		if cap(buf) < size {
+			// As the arenas do, reserve for the doublings to come.
+			buf = slices.Grow(buf, max(size, min(4*size, c.ceiling))-len(buf))
+		}
 		n, err := io.ReadFull(c.r, buf[len(buf):size])
 		buf = buf[:len(buf)+n]
 		switch {

@@ -61,7 +61,7 @@ func WriteCSV(w io.Writer, log *failures.Log) error {
 		b = append(b, ',')
 		b = appendRecovery(b, r.Recovery)
 		b = append(b, ',')
-		b = appendCSVField(b, string(r.Category))
+		b = appendCSVField(b, r.Category.String())
 		b = append(b, ',')
 		b = appendCSVField(b, r.Node)
 		b = append(b, ',')
@@ -72,7 +72,7 @@ func WriteCSV(w io.Writer, log *failures.Log) error {
 			b = strconv.AppendInt(b, int64(g), 10)
 		}
 		b = append(b, ',')
-		b = appendCSVField(b, string(r.SoftwareCause))
+		b = appendCSVField(b, r.SoftwareCause.String())
 		b = append(b, '\n')
 		if _, err := bw.Write(b); err != nil {
 			return fmt.Errorf("trace: writing record %d: %w", r.ID, err)
@@ -188,6 +188,10 @@ func parseRow(row []string) (failures.Failure, error) {
 	if err != nil {
 		return failures.Failure{}, err
 	}
+	cause, err := failures.ParseSoftwareCause(row[7])
+	if err != nil {
+		return failures.Failure{}, err
+	}
 	return failures.Failure{
 		ID:            id,
 		System:        system,
@@ -196,7 +200,7 @@ func parseRow(row []string) (failures.Failure, error) {
 		Category:      category,
 		Node:          row[5],
 		GPUs:          gpus,
-		SoftwareCause: failures.SoftwareCause(row[7]),
+		SoftwareCause: cause,
 	}, nil
 }
 

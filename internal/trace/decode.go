@@ -134,30 +134,31 @@ func parseNDJSONRecordFast(line []byte, a *chunkArena) (rec jsonRecord, ok bool)
 // gpusBit is the seen-mask bit of the "gpus" key.
 const gpusBit = 1 << 6
 
-// vocabulary maps every name in failures' closed vocabularies (the
-// system names, both category taxonomies, the software causes) to
-// itself. Node names are deliberately absent: a large trace has
+// vocabulary is every name in failures' closed vocabularies (the system
+// names, both category taxonomies, the software causes), sorted for
+// binary search. Node names are deliberately absent: a large trace has
 // hundreds of thousands of distinct nodes, so interning them would only
 // grow a table.
-var vocabulary = func() map[string]string {
-	m := make(map[string]string)
+var vocabulary = func() []string {
+	var names []string
 	for _, sys := range []failures.System{failures.Tsubame2, failures.Tsubame3} {
-		m[sys.String()] = sys.String()
+		names = append(names, sys.String())
 		for _, c := range failures.Categories(sys) {
-			m[string(c)] = string(c)
+			names = append(names, c.String())
 		}
 	}
 	for _, c := range failures.SoftwareCauses() {
-		m[string(c)] = string(c)
+		names = append(names, c.String())
 	}
-	return m
+	slices.Sort(names)
+	return slices.Compact(names)
 }()
 
 // intern returns the vocabulary's copy of s when it has one (the lookup
 // does not allocate), else a fresh string.
 func intern(s []byte) string {
-	if v, ok := vocabulary[string(s)]; ok {
-		return v
+	if i, ok := slices.BinarySearch(vocabulary, string(s)); ok {
+		return vocabulary[i]
 	}
 	return string(s)
 }
@@ -185,11 +186,23 @@ type arenaEnd struct {
 // reset empties the arena for a chunk of size bytes and about n
 // records, keeping its capacity and reserving enough for typical
 // records (a short node name, a GPU slot or none) to append without
-// regrowing.
+// regrowing. Chunk sizes double from batch to batch, so an arena too
+// small for the chunk at hand is sized for chunks up to four times
+// larger, but not past maxChunk: it regrows at every other doubling.
 func (a *chunkArena) reset(size, n int) {
-	a.nodes = slices.Grow(a.nodes[:0], size/16)
-	a.gpus = slices.Grow(a.gpus[:0], n)
-	a.ends = slices.Grow(a.ends[:0], n)
+	room := max(1, min(4, maxChunk/max(size, 1)))
+	a.nodes = reserve(a.nodes, size/16, room)
+	a.gpus = reserve(a.gpus, n, room)
+	a.ends = reserve(a.ends, n, room)
+}
+
+// reserve empties s, reallocating it at room times n capacity when it
+// cannot hold n elements.
+func reserve[T any](s []T, n, room int) []T {
+	if cap(s) < n {
+		return make([]T, 0, room*n)
+	}
+	return s[:0]
 }
 
 // attach sets the Node and GPUs fields of records, which must be the

@@ -283,19 +283,7 @@ func TestWriteAllocsNotPerRecord(t *testing.T) {
 // chunk (buffers, record slices, arenas, pool batches), not per record.
 // The whole-input reader allocated four times a record.
 func TestReadNDJSONAllocsNotPerRecord(t *testing.T) {
-	p := synth.Tsubame3Profile()
-	for i := range p.Categories {
-		p.Categories[i].Count *= 30
-	}
-	for i := range p.SoftwareCauses {
-		p.SoftwareCauses[i].Count *= 30
-	}
-	p.NodeCount *= 30
-	p.SoftwareOnMultiNodes *= 30
-	log, err := synth.Generate(p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := scaledTsubame3Log(t, 30)
 	var buf bytes.Buffer
 	if err := WriteNDJSON(&buf, log); err != nil {
 		t.Fatal(err)
@@ -309,6 +297,26 @@ func TestReadNDJSONAllocsNotPerRecord(t *testing.T) {
 	if limit := float64(log.Len()) / 50; allocs > limit {
 		t.Errorf("%v allocs per read of %d records, want at most %v", allocs, log.Len(), limit)
 	}
+}
+
+// scaledTsubame3Log generates the Tsubame-3 profile with every count
+// and the fleet multiplied by factor (338 records a unit), at seed 3.
+func scaledTsubame3Log(t *testing.T, factor int) *failures.Log {
+	t.Helper()
+	p := synth.Tsubame3Profile()
+	for i := range p.Categories {
+		p.Categories[i].Count *= factor
+	}
+	for i := range p.SoftwareCauses {
+		p.SoftwareCauses[i].Count *= factor
+	}
+	p.NodeCount *= factor
+	p.SoftwareOnMultiNodes *= factor
+	log, err := synth.Generate(p, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log
 }
 
 // discardWriter is io.Discard without the fast-path interfaces, so the

@@ -63,10 +63,10 @@ func writeNDJSON(w io.Writer, log *failures.Log, width, per int) error {
 				System:        rec.System.String(),
 				Time:          rec.Time.UTC(),
 				RecoveryHours: rec.Recovery.Hours(),
-				Category:      string(rec.Category),
+				Category:      rec.Category.String(),
 				Node:          rec.Node,
 				GPUs:          rec.GPUs,
-				SoftwareCause: string(rec.SoftwareCause),
+				SoftwareCause: rec.SoftwareCause.String(),
 			})
 			if err != nil {
 				return b, fmt.Errorf("trace: encoding record %d: %w", rec.ID, err)
@@ -126,6 +126,11 @@ func readNDJSON(r io.Reader, width, ceiling int) (*failures.Log, error) {
 	bufs := make([][]byte, width)
 	arenas := make([]chunkArena, width)
 	batch := make([][]byte, 0, width)
+	results := make([]chunkResult, width)
+	parse := func(_ context.Context, i int, chunk []byte) error {
+		results[i] = parseChunk(chunk, &arenas[i])
+		return nil
+	}
 	var (
 		parts      [][]failures.Failure // records of the accepted chunks
 		lines      int                  // lines of the accepted chunks
@@ -148,12 +153,15 @@ func readNDJSON(r io.Reader, width, ceiling int) (*failures.Log, error) {
 			batch = append(batch, chunk)
 		}
 		// Chunks of one batch are the same size, so its parses take
-		// about the same time.
+		// about the same time. A batch of one chunk is parsed inline,
+		// with none of the pool's allocations.
 		cr.grow()
-		results, _ := parallel.Map(context.Background(), width, batch, func(_ context.Context, i int, chunk []byte) (chunkResult, error) {
-			return parseChunk(chunk, &arenas[i]), nil
-		})
-		for i, res := range results {
+		if len(batch) == 1 {
+			_ = parse(context.Background(), 0, batch[0])
+		} else {
+			_ = parallel.ForEach(context.Background(), width, batch, parse)
+		}
+		for i, res := range results[:len(batch)] {
 			if res.declined {
 				data, err := cr.rest(batch[i:])
 				if err != nil {
@@ -352,6 +360,10 @@ func recordFromWire(rec jsonRecord) (failures.Failure, error) {
 	if err != nil {
 		return failures.Failure{}, err
 	}
+	cause, err := failures.ParseSoftwareCause(rec.SoftwareCause)
+	if err != nil {
+		return failures.Failure{}, err
+	}
 	return failures.Failure{
 		ID:            rec.ID,
 		System:        sys,
@@ -360,7 +372,7 @@ func recordFromWire(rec jsonRecord) (failures.Failure, error) {
 		Category:      category,
 		Node:          rec.Node,
 		GPUs:          rec.GPUs,
-		SoftwareCause: failures.SoftwareCause(rec.SoftwareCause),
+		SoftwareCause: cause,
 	}, nil
 }
 

@@ -58,7 +58,7 @@ func genTape(g *testutil.Gen) []byte {
 			System:        sys.String(),
 			Time:          at,
 			RecoveryHours: float64(g.Intn(100)) / 4,
-			Category:      string(cats[g.Intn(len(cats))]),
+			Category:      cats[g.Intn(len(cats))].String(),
 		}
 		if g.Intn(6) == 1 {
 			rec.ID = i // with an equal time, a (time, ID) tie
@@ -77,8 +77,8 @@ func genTape(g *testutil.Gen) []byte {
 				}
 			}
 		}
-		if failures.Category(rec.Category).Software() && g.Bool() {
-			rec.SoftwareCause = string(causes[g.Intn(len(causes))])
+		if cat, _ := failures.ParseCategory(sys, rec.Category); cat.Software() && g.Bool() {
+			rec.SoftwareCause = causes[g.Intn(len(causes))].String()
 		}
 		switch g.Intn(16) {
 		case 1:

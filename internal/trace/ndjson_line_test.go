@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/failures"
 )
 
 // validLine renders one well-formed Tsubame-2 wire record for fixtures.
@@ -86,7 +88,7 @@ func TestParseNDJSONRecord(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseNDJSONRecord: %v", err)
 	}
-	if rec.ID != 1 || rec.Category != "GPU" || rec.Node != "n0001" {
+	if rec.ID != 1 || rec.Category != failures.CatGPU || rec.Node != "n0001" {
 		t.Fatalf("unexpected record: %+v", rec)
 	}
 	if _, err := ParseNDJSONRecord([]byte(`{"id":`)); err == nil {

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/failures"
@@ -120,22 +121,15 @@ type BlockFilter struct {
 	mask uint64
 }
 
-// tsbcDicts are a file's category and software-cause dictionaries,
-// built once per writer and only read afterwards, so every block encoder
-// of one file shares them.
-type tsbcDicts struct {
-	system   failures.System
-	catIdx   map[failures.Category]int
-	causeIdx map[failures.SoftwareCause]int
-}
-
 // blockEncoder is the state of one block under construction: column
 // arenas, the node dictionary, statistics and frame assembly. Delta
 // bases and the node dictionary restart in every block, so encoders
-// working on different blocks of one file share nothing but the
-// read-only dictionaries.
+// working on different blocks of one file share nothing. The file's
+// category and software-cause dictionaries are the system's taxonomy
+// and Figure 3's causes, so a code's dictionary index is its position
+// there (Category.Index, SoftwareCause.Index).
 type blockEncoder struct {
-	dicts    *tsbcDicts
+	system   failures.System
 	cols     [8][]byte // id, tsec, tnsec, recovery, cat, node, gpus, cause
 	nodeIdx  map[string]int
 	nodes    []string
@@ -147,8 +141,8 @@ type blockEncoder struct {
 	head     []byte // stats and node dictionary scratch of appendFrame
 }
 
-func newBlockEncoder(dicts *tsbcDicts, capacity int) *blockEncoder {
-	return &blockEncoder{dicts: dicts, nodeIdx: make(map[string]int), capacity: capacity}
+func newBlockEncoder(system failures.System, capacity int) *blockEncoder {
+	return &blockEncoder{system: system, nodeIdx: make(map[string]int), capacity: capacity}
 }
 
 // lastRecord is a writer's order state: the time and ID of the record
@@ -208,27 +202,15 @@ func newBlockWriterSize(w io.Writer, system failures.System, capacity int) (*Blo
 		return nil, fmt.Errorf("trace: tsbc: %v taxonomy has %d categories, format supports 64", system, len(cats))
 	}
 	causes := failures.SoftwareCauses()
-	dicts := &tsbcDicts{
-		system:   system,
-		catIdx:   make(map[failures.Category]int, len(cats)),
-		causeIdx: make(map[failures.SoftwareCause]int, len(causes)),
-	}
-	for i, c := range cats {
-		dicts.catIdx[c] = i
-	}
-	for i, c := range causes {
-		dicts.causeIdx[c] = i
-	}
-
 	hdr := make([]byte, 0, 512)
 	hdr = append(hdr, tsbcMagic...)
 	hdr = append(hdr, tsbcVersion, byte(system), 0, 0) // version, system, flags (reserved)
-	hdr = appendDict(hdr, len(cats), func(i int) string { return string(cats[i]) })
-	hdr = appendDict(hdr, len(causes), func(i int) string { return string(causes[i]) })
+	hdr = appendDict(hdr, len(cats), func(i int) string { return cats[i].String() })
+	hdr = appendDict(hdr, len(causes), func(i int) string { return causes[i].String() })
 	if _, err := w.Write(hdr); err != nil {
 		return nil, fmt.Errorf("trace: tsbc: writing header: %w", err)
 	}
-	return &BlockWriter{w: w, enc: newBlockEncoder(dicts, capacity)}, nil
+	return &BlockWriter{w: w, enc: newBlockEncoder(system, capacity)}, nil
 }
 
 // appendDict encodes a string dictionary: entry count, then each entry
@@ -265,17 +247,17 @@ func (bw *BlockWriter) Append(f failures.Failure) error {
 // add checks f against the dictionaries and the order state last, then
 // encodes it into the block and advances last.
 func (e *blockEncoder) add(f failures.Failure, last *lastRecord) error {
-	if f.System != e.dicts.system {
-		return fmt.Errorf("trace: tsbc: record %d belongs to %v, trace is for %v", f.ID, f.System, e.dicts.system)
+	if f.System != e.system {
+		return fmt.Errorf("trace: tsbc: record %d belongs to %v, trace is for %v", f.ID, f.System, e.system)
 	}
-	catIdx, ok := e.dicts.catIdx[f.Category]
-	if !ok {
-		return fmt.Errorf("trace: tsbc: record %d category %q is not in the %v taxonomy", f.ID, f.Category, e.dicts.system)
+	catIdx := f.Category.Index(e.system)
+	if catIdx < 0 {
+		return fmt.Errorf("trace: tsbc: record %d category %q is not in the %v taxonomy", f.ID, f.Category, e.system)
 	}
 	causeIdx := 0
-	if f.SoftwareCause != "" {
-		i, ok := e.dicts.causeIdx[f.SoftwareCause]
-		if !ok {
+	if f.SoftwareCause != 0 {
+		i := f.SoftwareCause.Index()
+		if i < 0 {
 			return fmt.Errorf("trace: tsbc: record %d has unknown software cause %q", f.ID, f.SoftwareCause)
 		}
 		causeIdx = i + 1
@@ -441,7 +423,7 @@ func writeTSBC(w io.Writer, log *failures.Log, width, capacity int) error {
 	err = writeOrdered(bw, blocks, width, tsbcRangeBlocks, func(worker int, r parallel.Range, dst []byte) ([]byte, error) {
 		enc := encoders[worker]
 		if enc == nil {
-			enc = newBlockEncoder(tw.enc.dicts, capacity)
+			enc = newBlockEncoder(tw.enc.system, capacity)
 			encoders[worker] = enc
 		}
 		lo, hi := r.Lo*capacity, min(r.Hi*capacity, n)
@@ -477,8 +459,8 @@ func writeTSBC(w io.Writer, log *failures.Log, width, capacity int) error {
 // Block is one decoded .tsbc block. The arenas backing its records are
 // owned by the BlockReader and reused on the next Next call: a record's
 // GPUs slice (and the Block itself) must not be retained across Next —
-// copy what outlives the block. Node and category strings are safe to
-// retain (strings are immutable and allocated per block / per file).
+// copy what outlives the block. Node strings are safe to retain: they
+// are substrings of one string per block, never reused.
 type Block struct {
 	stats BlockStats
 
@@ -486,15 +468,15 @@ type Block struct {
 	timeSec  []int64
 	timeNsec []int32
 	recovery []time.Duration
-	catIdx   []int32
+	cats     []failures.Category
 	nodeIdx  []int32
-	causeIdx []int32
+	causes   []failures.SoftwareCause
 	gpuOff   []int32 // len count+1: record i's slots are gpuArena[gpuOff[i]:gpuOff[i+1]]
 	gpuArena []int
 	nodes    []string // per-block node dictionary (index 0 = empty)
 
 	catDict   []failures.Category
-	causeDict []failures.SoftwareCause
+	causeDict []failures.SoftwareCause // index 0 = no cause
 	system    failures.System
 }
 
@@ -516,19 +498,15 @@ func (b *Block) Record(i int) failures.Failure {
 	if n := b.nodeIdx[i]; n > 0 {
 		node = b.nodes[n-1]
 	}
-	var cause failures.SoftwareCause
-	if c := b.causeIdx[i]; c > 0 {
-		cause = b.causeDict[c-1]
-	}
 	return failures.Failure{
 		ID:            b.ids[i],
 		System:        b.system,
 		Time:          time.Unix(b.timeSec[i], int64(b.timeNsec[i])).UTC(),
 		Recovery:      b.recovery[i],
-		Category:      b.catDict[b.catIdx[i]],
+		Category:      b.cats[i],
 		Node:          node,
 		GPUs:          gpus,
-		SoftwareCause: cause,
+		SoftwareCause: b.causes[i],
 	}
 }
 
@@ -551,13 +529,8 @@ func (b *Block) copyRecords(dst []failures.Failure) {
 // NewBlockReader (which parses and validates the header), then call Next
 // until io.EOF.
 type BlockReader struct {
-	r      io.Reader
-	system failures.System
-
-	catDict   []failures.Category
-	causeDict []failures.SoftwareCause
-
-	block     Block
+	r         io.Reader
+	block     Block // also holds the system and the header dictionaries
 	frame     []byte
 	total     uint64
 	filter    *BlockFilter
@@ -584,7 +557,7 @@ func NewBlockReader(r io.Reader) (*BlockReader, error) {
 	if !system.Valid() {
 		return nil, fmt.Errorf("trace: tsbc: invalid system %d", hdr[5])
 	}
-	br := &BlockReader{r: r, system: system}
+	br := &BlockReader{r: r, block: Block{system: system}}
 	catNames, err := readDict(r)
 	if err != nil {
 		return nil, fmt.Errorf("trace: tsbc: category dictionary: %w", err)
@@ -592,29 +565,24 @@ func NewBlockReader(r io.Reader) (*BlockReader, error) {
 	if len(catNames) == 0 || len(catNames) > 64 {
 		return nil, fmt.Errorf("trace: tsbc: category dictionary has %d entries (want 1..64)", len(catNames))
 	}
-	br.catDict = make([]failures.Category, len(catNames))
+	br.block.catDict = make([]failures.Category, len(catNames))
 	for i, name := range catNames {
-		cat, err := failures.ParseCategory(system, name)
-		if err != nil {
+		if br.block.catDict[i], err = failures.ParseCategory(system, name); err != nil {
 			return nil, fmt.Errorf("trace: tsbc: category dictionary: %w", err)
 		}
-		br.catDict[i] = cat
 	}
 	causeNames, err := readDict(r)
 	if err != nil {
 		return nil, fmt.Errorf("trace: tsbc: cause dictionary: %w", err)
 	}
-	br.causeDict = make([]failures.SoftwareCause, len(causeNames))
+	br.block.causeDict = make([]failures.SoftwareCause, 1+len(causeNames))
 	for i, name := range causeNames {
-		cause := failures.SoftwareCause(name)
-		if !cause.Valid() {
+		cause, err := failures.ParseSoftwareCause(name)
+		if err != nil || !cause.Valid() {
 			return nil, fmt.Errorf("trace: tsbc: cause dictionary: unknown software cause %q", name)
 		}
-		br.causeDict[i] = cause
+		br.block.causeDict[1+i] = cause
 	}
-	br.block.catDict = br.catDict
-	br.block.causeDict = br.causeDict
-	br.block.system = system
 	return br, nil
 }
 
@@ -630,6 +598,7 @@ func readDict(r io.Reader) ([]string, error) {
 		return nil, fmt.Errorf("%d entries exceeds limit %d", n, tsbcMaxDictEntries)
 	}
 	out := make([]string, 0, n)
+	var buf []byte
 	for i := uint64(0); i < n; i++ {
 		l, err := binary.ReadUvarint(rb)
 		if err != nil {
@@ -638,7 +607,7 @@ func readDict(r io.Reader) ([]string, error) {
 		if l > tsbcMaxDictString {
 			return nil, fmt.Errorf("entry %d length %d exceeds limit %d", i, l, tsbcMaxDictString)
 		}
-		buf := make([]byte, l)
+		buf = slices.Grow(buf[:0], int(l))[:l]
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, fmt.Errorf("reading entry %d: %w", i, err)
 		}
@@ -666,7 +635,7 @@ func (s singleByteReader) ReadByte() (byte, error) {
 }
 
 // System returns the system the trace belongs to.
-func (br *BlockReader) System() failures.System { return br.system }
+func (br *BlockReader) System() failures.System { return br.block.system }
 
 // Total returns the record count declared by the end frame; valid only
 // after Next has returned io.EOF.
@@ -683,17 +652,11 @@ func (br *BlockReader) SetFilter(f *BlockFilter) error {
 	}
 	f.mask = 0
 	for _, want := range f.Categories {
-		found := false
-		for i, cat := range br.catDict {
-			if cat == want {
-				f.mask |= 1 << uint(i)
-				found = true
-				break
-			}
-		}
-		if !found {
+		i := slices.Index(br.block.catDict, want)
+		if i < 0 {
 			return fmt.Errorf("trace: tsbc: filter category %q is not in the trace dictionary", want)
 		}
+		f.mask |= 1 << uint(i)
 	}
 	br.filter = f
 	return nil
@@ -888,11 +851,10 @@ func (d *frameDecoder) stats() (BlockStats, error) {
 // reused block.
 func (d *frameDecoder) columns(b *Block) error {
 	count := b.stats.Count
-	nodes, err := d.dict(count)
-	if err != nil {
+	var err error
+	if b.nodes, err = d.dict(b.nodes, count); err != nil {
 		return fmt.Errorf("trace: tsbc: node dictionary: %w", err)
 	}
-	b.nodes = nodes
 
 	b.ids = grow(b.ids, count)
 	var prevID int64
@@ -937,8 +899,8 @@ func (d *frameDecoder) columns(b *Block) error {
 		}
 		b.recovery[i] = time.Duration(v)
 	}
-	b.catIdx = grow(b.catIdx, count)
-	for i := range b.catIdx {
+	b.cats = grow(b.cats, count)
+	for i := range b.cats {
 		v, err := d.uvarint()
 		if err != nil {
 			return err
@@ -946,7 +908,7 @@ func (d *frameDecoder) columns(b *Block) error {
 		if v >= uint64(len(b.catDict)) {
 			return fmt.Errorf("trace: tsbc: category index %d outside dictionary of %d", v, len(b.catDict))
 		}
-		b.catIdx[i] = int32(v)
+		b.cats[i] = b.catDict[v]
 	}
 	b.nodeIdx = grow(b.nodeIdx, count)
 	for i := range b.nodeIdx {
@@ -979,16 +941,16 @@ func (d *frameDecoder) columns(b *Block) error {
 		}
 		b.gpuOff[i+1] = int32(len(b.gpuArena))
 	}
-	b.causeIdx = grow(b.causeIdx, count)
-	for i := range b.causeIdx {
+	b.causes = grow(b.causes, count)
+	for i := range b.causes {
 		v, err := d.uvarint()
 		if err != nil {
 			return err
 		}
-		if v > uint64(len(b.causeDict)) {
-			return fmt.Errorf("trace: tsbc: cause index %d outside dictionary of %d", v, len(b.causeDict))
+		if v >= uint64(len(b.causeDict)) {
+			return fmt.Errorf("trace: tsbc: cause index %d outside dictionary of %d", v, len(b.causeDict)-1)
 		}
-		b.causeIdx[i] = int32(v)
+		b.causes[i] = b.causeDict[v]
 	}
 	if d.pos != len(d.buf) {
 		return fmt.Errorf("trace: tsbc: %d trailing bytes after block columns", len(d.buf)-d.pos)
@@ -996,8 +958,11 @@ func (d *frameDecoder) columns(b *Block) error {
 	return nil
 }
 
-// dict decodes a per-block dictionary with at most maxEntries entries.
-func (d *frameDecoder) dict(maxEntries int) ([]string, error) {
+// dict decodes a per-block dictionary with at most maxEntries entries
+// into dst's storage. The entries are substrings of one string holding
+// the dictionary's bytes, so a block allocates once for them however
+// many there are, and they stay valid after dst is reused.
+func (d *frameDecoder) dict(dst []string, maxEntries int) ([]string, error) {
 	n, err := d.uvarint()
 	if err != nil {
 		return nil, err
@@ -1005,7 +970,7 @@ func (d *frameDecoder) dict(maxEntries int) ([]string, error) {
 	if n > uint64(maxEntries) {
 		return nil, fmt.Errorf("%d entries exceeds block record count %d", n, maxEntries)
 	}
-	out := make([]string, 0, n)
+	start := d.pos
 	for i := uint64(0); i < n; i++ {
 		l, err := d.uvarint()
 		if err != nil {
@@ -1014,10 +979,18 @@ func (d *frameDecoder) dict(maxEntries int) ([]string, error) {
 		if l > uint64(len(d.buf)-d.pos) {
 			return nil, fmt.Errorf("entry %d length %d exceeds remaining frame", i, l)
 		}
-		out = append(out, string(d.buf[d.pos:d.pos+int(l)]))
 		d.pos += int(l)
 	}
-	return out, nil
+	// Every entry has a length prefix, so the checked bytes hold exactly
+	// n of them.
+	all, dst := string(d.buf[start:d.pos]), slices.Grow(dst[:0], int(n))
+	for at := 0; at < len(all); {
+		l, w := binary.Uvarint(d.buf[start+at:])
+		at += w
+		dst = append(dst, all[at:at+int(l)])
+		at += int(l)
+	}
+	return dst, nil
 }
 
 // grow returns s resized to n, reusing capacity.
@@ -1084,7 +1057,7 @@ func readTSBC(r io.Reader, width int) (*failures.Log, error) {
 	}
 	shards := parallel.Shards(len(frames), width)
 	err = parallel.ForEach(context.Background(), width, shards, func(_ context.Context, _ int, sh parallel.Range) error {
-		blk := Block{catDict: br.catDict, causeDict: br.causeDict, system: br.system}
+		blk := br.block // the dictionaries, with arenas of its own
 		for _, f := range frames[sh.Lo:sh.Hi] {
 			blk.stats = f.stats
 			if err := f.d.columns(&blk); err != nil {

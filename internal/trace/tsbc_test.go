@@ -192,7 +192,7 @@ func TestTSBCWriterRejects(t *testing.T) {
 	}
 	badCause := ok
 	badCause.ID, badCause.Time = 2, base.Add(time.Hour)
-	badCause.SoftwareCause = failures.SoftwareCause("nonsense")
+	badCause.SoftwareCause = failures.SoftwareCause(99) // outside the vocabulary
 	if err := bw.Append(badCause); err == nil {
 		t.Error("unknown-cause append should fail")
 	}
@@ -412,6 +412,73 @@ func TestTSBCEmptyLog(t *testing.T) {
 	}
 	if stats.Records != 0 || stats.Blocks != 0 {
 		t.Errorf("empty trace stats = %+v", stats)
+	}
+}
+
+// TestReadTSBCAllocsNotPerRecord pins the bulk decoder's allocation
+// budget, as TestReadNDJSONAllocsNotPerRecord does the NDJSON one's: a
+// block's node dictionary decodes into one string, so a read allocates
+// per block, not per record or per node.
+func TestReadTSBCAllocsNotPerRecord(t *testing.T) {
+	log := scaledTsubame3Log(t, 30)
+	var buf bytes.Buffer
+	if err := WriteTSBC(&buf, log); err != nil {
+		t.Fatal(err)
+	}
+	// A fixed width keeps the allocation count independent of the host.
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := readTSBC(bytes.NewReader(buf.Bytes()), 4); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(log.Len()) / 50; allocs > limit {
+		t.Errorf("%v allocs per read of %d records, want at most %v", allocs, log.Len(), limit)
+	}
+}
+
+// TestTSBCNodesOutliveNext pins the Block contract that node strings,
+// unlike GPU slices, stay valid after the reader moves on: nodes kept
+// from every block of a many-block file still match the log once the
+// whole file is read.
+func TestTSBCNodesOutliveNext(t *testing.T) {
+	log := tsbcTestLog(t, failures.Tsubame2, 7)
+	var buf bytes.Buffer
+	bw, err := newBlockWriterSize(&buf, log.System(), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < log.Len(); i++ {
+		if err := bw.Append(log.At(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	br, err := NewBlockReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nodes []string
+	for {
+		blk, err := br.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < blk.Len(); i++ {
+			nodes = append(nodes, blk.Record(i).Node)
+		}
+	}
+	if len(nodes) != log.Len() {
+		t.Fatalf("read %d records, want %d", len(nodes), log.Len())
+	}
+	for i, node := range nodes {
+		if node != log.At(i).Node {
+			t.Fatalf("record %d: node %q after the read, want %q", i, node, log.At(i).Node)
+		}
 	}
 }
 
