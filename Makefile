@@ -22,7 +22,7 @@ BENCH_PKGS ?= ./...
 BENCH_OUT ?= BENCH_ci.json
 BENCH_TAGS ?=
 
-.PHONY: build test race bench-harness bench bench-baseline bench-check bench-smoke bench-smoke-selftest sweep-smoke serve-smoke convert-smoke remediate-smoke profile-gen fuzz-smoke conform cover vet loc lint ci clean
+.PHONY: build test deadcode race bench-harness bench bench-baseline bench-check bench-smoke bench-smoke-selftest sweep-smoke serve-smoke convert-smoke remediate-smoke profile-gen fuzz-smoke conform cover vet loc lint ci clean
 
 ## build: compile every package and command
 build:
@@ -43,6 +43,13 @@ loc:
 ## test: the tier-1 test suite
 test:
 	$(GO) test ./...
+
+## deadcode: the reachability check alone — fails on every non-test
+## function that no cmd/* or examples/* main, no benchmark/ file and no
+## paper benchmark of bench_test.go reaches (deadcode_test.go; the
+## keep-list there names the exceptions and why)
+deadcode:
+	$(GO) test -run '^TestDeadcode' -count=1 .
 
 ## race: the full test suite under the race detector (certifies the
 ## parallel analysis engine)
@@ -164,7 +171,7 @@ lint:
 		|| echo "golangci-lint not installed; skipping (CI runs it as a blocking job)"
 
 ## ci: every blocking CI step, in CI's order
-ci: build vet test race bench-harness conform bench-smoke bench-smoke-selftest sweep-smoke serve-smoke convert-smoke remediate-smoke fuzz-smoke
+ci: build vet deadcode test race bench-harness conform bench-smoke bench-smoke-selftest sweep-smoke serve-smoke convert-smoke remediate-smoke fuzz-smoke
 
 clean:
 	rm -f BENCH_ci.json BENCH_perf.txt PROFILE_gen_cpu.out PROFILE_gen_mem.out CONFORM_report.json COVER_profile.out repro.test

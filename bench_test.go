@@ -57,6 +57,17 @@ func benchStudies(b *testing.B) (*core.Study, *core.Study) {
 	return s2, s3
 }
 
+// studyOf runs the analysis battery on log. The paper benchmarks time it
+// and report their figure's numbers from the Study field that holds them.
+func studyOf(b *testing.B, log *failures.Log) *core.Study {
+	b.Helper()
+	s, err := core.NewStudy(log)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
 // BenchmarkTableI regenerates the node-configuration table.
 func BenchmarkTableI(b *testing.B) {
 	var out string
@@ -85,20 +96,14 @@ func BenchmarkTableII(b *testing.B) {
 func BenchmarkFig2(b *testing.B) {
 	t2, t3 := benchLogs(b)
 	b.ResetTimer()
-	var shares2, shares3 []core.CategoryShare
+	var s2, s3 *core.Study
 	for i := 0; i < b.N; i++ {
-		var err error
-		if shares2, err = core.CategoryBreakdown(t2); err != nil {
-			b.Fatal(err)
-		}
-		if shares3, err = core.CategoryBreakdown(t3); err != nil {
-			b.Fatal(err)
-		}
+		s2, s3 = studyOf(b, t2), studyOf(b, t3)
 	}
-	b.ReportMetric(core.ShareOf(shares2, failures.CatGPU), "t2_gpu_pct")
-	b.ReportMetric(core.ShareOf(shares2, failures.CatCPU), "t2_cpu_pct")
-	b.ReportMetric(core.ShareOf(shares3, failures.CatSoftware), "t3_sw_pct")
-	b.ReportMetric(core.ShareOf(shares3, failures.CatGPU), "t3_gpu_pct")
+	b.ReportMetric(core.ShareOf(s2.Breakdown, failures.CatGPU), "t2_gpu_pct")
+	b.ReportMetric(core.ShareOf(s2.Breakdown, failures.CatCPU), "t2_cpu_pct")
+	b.ReportMetric(core.ShareOf(s3.Breakdown, failures.CatSoftware), "t3_sw_pct")
+	b.ReportMetric(core.ShareOf(s3.Breakdown, failures.CatGPU), "t3_gpu_pct")
 }
 
 // BenchmarkFig3 regenerates the Tsubame-3 software root-locus breakdown.
@@ -106,15 +111,12 @@ func BenchmarkFig2(b *testing.B) {
 func BenchmarkFig3(b *testing.B) {
 	_, t3 := benchLogs(b)
 	b.ResetTimer()
-	var causes []core.CauseShare
+	var s3 *core.Study
 	for i := 0; i < b.N; i++ {
-		var err error
-		if causes, err = core.SoftwareCauses(t3, 16); err != nil {
-			b.Fatal(err)
-		}
+		s3 = studyOf(b, t3)
 	}
-	b.ReportMetric(causes[0].Percent, "gpu_driver_pct")
-	b.ReportMetric(causes[1].Percent, "unknown_pct")
+	b.ReportMetric(s3.SoftwareTop[0].Percent, "gpu_driver_pct")
+	b.ReportMetric(s3.SoftwareTop[1].Percent, "unknown_pct")
 }
 
 // BenchmarkFig4 regenerates the failures-per-node distributions. Paper:
@@ -123,19 +125,13 @@ func BenchmarkFig3(b *testing.B) {
 func BenchmarkFig4(b *testing.B) {
 	t2, t3 := benchLogs(b)
 	b.ResetTimer()
-	var bins2, bins3 []core.NodeCountBin
+	var s2, s3 *core.Study
 	for i := 0; i < b.N; i++ {
-		var err error
-		if bins2, err = core.NodeFailureCounts(t2); err != nil {
-			b.Fatal(err)
-		}
-		if bins3, err = core.NodeFailureCounts(t3); err != nil {
-			b.Fatal(err)
-		}
+		s2, s3 = studyOf(b, t2), studyOf(b, t3)
 	}
-	b.ReportMetric(core.PercentWithExactly(bins2, 1), "t2_one_failure_pct")
-	b.ReportMetric(core.PercentWithExactly(bins2, 2), "t2_two_failure_pct")
-	b.ReportMetric(core.PercentWithAtLeast(bins3, 2), "t3_multi_failure_pct")
+	b.ReportMetric(core.PercentWithExactly(s2.NodeCounts, 1), "t2_one_failure_pct")
+	b.ReportMetric(core.PercentWithExactly(s2.NodeCounts, 2), "t2_two_failure_pct")
+	b.ReportMetric(core.PercentWithAtLeast(s3.NodeCounts, 2), "t3_multi_failure_pct")
 }
 
 // BenchmarkFig5 regenerates the GPU-slot distributions. Paper: slot 1
@@ -143,16 +139,11 @@ func BenchmarkFig4(b *testing.B) {
 func BenchmarkFig5(b *testing.B) {
 	t2, t3 := benchLogs(b)
 	b.ResetTimer()
-	var slots2, slots3 []core.SlotShare
+	var s2, s3 *core.Study
 	for i := 0; i < b.N; i++ {
-		var err error
-		if slots2, err = core.GPUSlotDistribution(t2); err != nil {
-			b.Fatal(err)
-		}
-		if slots3, err = core.GPUSlotDistribution(t3); err != nil {
-			b.Fatal(err)
-		}
+		s2, s3 = studyOf(b, t2), studyOf(b, t3)
 	}
+	slots2, slots3 := s2.SlotShares, s3.SlotShares
 	outer := (slots2[0].Percent + slots2[2].Percent) / 2
 	b.ReportMetric(slots2[1].Percent/outer, "t2_slot1_over_outer")
 	b.ReportMetric(slots3[0].Percent+slots3[3].Percent, "t3_outer_pct")
@@ -163,19 +154,13 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkTableIII(b *testing.B) {
 	t2, t3 := benchLogs(b)
 	b.ResetTimer()
-	var rows2, rows3 []core.InvolvementRow
+	var s2, s3 *core.Study
 	for i := 0; i < b.N; i++ {
-		var err error
-		if rows2, err = core.MultiGPUInvolvement(t2); err != nil {
-			b.Fatal(err)
-		}
-		if rows3, err = core.MultiGPUInvolvement(t3); err != nil {
-			b.Fatal(err)
-		}
+		s2, s3 = studyOf(b, t2), studyOf(b, t3)
 	}
-	b.ReportMetric(core.MultiGPUPercent(rows2), "t2_multi_gpu_pct")
-	b.ReportMetric(core.MultiGPUPercent(rows3), "t3_multi_gpu_pct")
-	b.ReportMetric(float64(rows3[3].Count), "t3_four_gpu_count")
+	b.ReportMetric(core.MultiGPUPercent(s2.Involvement), "t2_multi_gpu_pct")
+	b.ReportMetric(core.MultiGPUPercent(s3.Involvement), "t3_multi_gpu_pct")
+	b.ReportMetric(float64(s3.Involvement[3].Count), "t3_four_gpu_count")
 }
 
 // BenchmarkFig6 regenerates the TBF distributions. Paper: MTBF ~15 h vs
@@ -183,16 +168,11 @@ func BenchmarkTableIII(b *testing.B) {
 func BenchmarkFig6(b *testing.B) {
 	t2, t3 := benchLogs(b)
 	b.ResetTimer()
-	var r2, r3 *core.TBFResult
+	var s2, s3 *core.Study
 	for i := 0; i < b.N; i++ {
-		var err error
-		if r2, err = core.TBFAnalysis(t2); err != nil {
-			b.Fatal(err)
-		}
-		if r3, err = core.TBFAnalysis(t3); err != nil {
-			b.Fatal(err)
-		}
+		s2, s3 = studyOf(b, t2), studyOf(b, t3)
 	}
+	r2, r3 := s2.TBF, s3.TBF
 	b.ReportMetric(r2.MTBFHours, "t2_mtbf_h")
 	b.ReportMetric(r3.MTBFHours, "t3_mtbf_h")
 	b.ReportMetric(r2.P75, "t2_p75_h")
@@ -205,17 +185,11 @@ func BenchmarkFig6(b *testing.B) {
 func BenchmarkFig7(b *testing.B) {
 	t2, t3 := benchLogs(b)
 	b.ResetTimer()
-	var perType2, perType3 []core.CategoryDurations
+	var s2, s3 *core.Study
 	for i := 0; i < b.N; i++ {
-		var err error
-		if perType2, err = core.TBFByCategory(t2, 5); err != nil {
-			b.Fatal(err)
-		}
-		if perType3, err = core.TBFByCategory(t3, 5); err != nil {
-			b.Fatal(err)
-		}
+		s2, s3 = studyOf(b, t2), studyOf(b, t3)
 	}
-	if len(perType2) == 0 || len(perType3) == 0 {
+	if len(s2.TBFPerType) == 0 || len(s3.TBFPerType) == 0 {
 		b.Fatal("empty per-type TBF")
 	}
 	gpu2, _ := core.GPUCardIncidentMTBF(t2)
@@ -231,13 +205,11 @@ func BenchmarkFig7(b *testing.B) {
 func BenchmarkFig8(b *testing.B) {
 	t2, _ := benchLogs(b)
 	b.ResetTimer()
-	var res *core.MultiGPUTemporalResult
+	var s2 *core.Study
 	for i := 0; i < b.N; i++ {
-		var err error
-		if res, err = core.MultiGPUTemporal(t2, 72); err != nil {
-			b.Fatal(err)
-		}
+		s2 = studyOf(b, t2)
 	}
+	res := s2.MultiGPU
 	b.ReportMetric(res.ClusteringScore, "clustering_score")
 	b.ReportMetric(res.WithinWindowPercent, "within_72h_pct")
 }
@@ -247,16 +219,11 @@ func BenchmarkFig8(b *testing.B) {
 func BenchmarkFig9(b *testing.B) {
 	t2, t3 := benchLogs(b)
 	b.ResetTimer()
-	var r2, r3 *core.TTRResult
+	var s2, s3 *core.Study
 	for i := 0; i < b.N; i++ {
-		var err error
-		if r2, err = core.TTRAnalysis(t2); err != nil {
-			b.Fatal(err)
-		}
-		if r3, err = core.TTRAnalysis(t3); err != nil {
-			b.Fatal(err)
-		}
+		s2, s3 = studyOf(b, t2), studyOf(b, t3)
 	}
+	r2, r3 := s2.TTR, s3.TTR
 	b.ReportMetric(r2.MTTRHours, "t2_mttr_h")
 	b.ReportMetric(r3.MTTRHours, "t3_mttr_h")
 	b.ReportMetric(r3.MTTRHours/r2.MTTRHours, "mttr_ratio")
@@ -268,18 +235,12 @@ func BenchmarkFig9(b *testing.B) {
 func BenchmarkFig10(b *testing.B) {
 	t2, t3 := benchLogs(b)
 	b.ResetTimer()
-	var perType2, perType3 []core.CategoryDurations
+	var s2, s3 *core.Study
 	for i := 0; i < b.N; i++ {
-		var err error
-		if perType2, err = core.TTRByCategory(t2, 2); err != nil {
-			b.Fatal(err)
-		}
-		if perType3, err = core.TTRByCategory(t3, 2); err != nil {
-			b.Fatal(err)
-		}
+		s2, s3 = studyOf(b, t2), studyOf(b, t3)
 	}
-	b.ReportMetric(maxOf(perType2, failures.CatSSD), "t2_ssd_max_h")
-	b.ReportMetric(maxOf(perType3, failures.CatPowerBoard), "t3_powerboard_max_h")
+	b.ReportMetric(maxOf(s2.TTRPerType, failures.CatSSD), "t2_ssd_max_h")
+	b.ReportMetric(maxOf(s3.TTRPerType, failures.CatPowerBoard), "t3_powerboard_max_h")
 	spread2, err := core.TTRSpread(t2)
 	if err != nil {
 		b.Fatal(err)
@@ -292,18 +253,12 @@ func BenchmarkFig10(b *testing.B) {
 func BenchmarkFig11(b *testing.B) {
 	t2, t3 := benchLogs(b)
 	b.ResetTimer()
-	var sc2, sc3 core.SeasonalCorrelation
+	var s2, s3 *core.Study
 	for i := 0; i < b.N; i++ {
-		var err error
-		if sc2, err = core.SeasonalAnalysis(t2); err != nil {
-			b.Fatal(err)
-		}
-		if sc3, err = core.SeasonalAnalysis(t3); err != nil {
-			b.Fatal(err)
-		}
+		s2, s3 = studyOf(b, t2), studyOf(b, t3)
 	}
-	b.ReportMetric(sc2.SecondHalfTTRRatio, "t2_second_half_ratio")
-	b.ReportMetric(sc3.SecondHalfTTRRatio, "t3_second_half_ratio")
+	b.ReportMetric(s2.SeasonalTests.SecondHalfTTRRatio, "t2_second_half_ratio")
+	b.ReportMetric(s3.SeasonalTests.SecondHalfTTRRatio, "t3_second_half_ratio")
 }
 
 // BenchmarkFig12 regenerates the monthly failure counts. Paper: monthly
@@ -311,20 +266,14 @@ func BenchmarkFig11(b *testing.B) {
 func BenchmarkFig12(b *testing.B) {
 	t2, _ := benchLogs(b)
 	b.ResetTimer()
-	var buckets []core.MonthBucket
-	var sc core.SeasonalCorrelation
+	var s2 *core.Study
 	for i := 0; i < b.N; i++ {
-		var err error
-		if buckets, err = core.MonthlySeasonality(t2); err != nil {
-			b.Fatal(err)
-		}
-		if sc, err = core.SeasonalAnalysis(t2); err != nil {
-			b.Fatal(err)
-		}
+		s2 = studyOf(b, t2)
 	}
-	if len(buckets) != 12 {
+	if len(s2.Seasonal) != 12 {
 		b.Fatal("expected 12 months")
 	}
+	sc := s2.SeasonalTests
 	b.ReportMetric(sc.ChiSquareP, "uniformity_p")
 	b.ReportMetric(sc.Spearman, "density_ttr_spearman")
 }
@@ -667,13 +616,11 @@ func maxOf(rows []core.CategoryDurations, cat failures.Category) float64 {
 func BenchmarkExtRackConcentration(b *testing.B) {
 	t2, _ := benchLogs(b)
 	b.ResetTimer()
-	var res *core.SpatialResult
+	var s2 *core.Study
 	for i := 0; i < b.N; i++ {
-		var err error
-		if res, err = core.SpatialAnalysis(t2); err != nil {
-			b.Fatal(err)
-		}
+		s2 = studyOf(b, t2)
 	}
+	res := s2.Spatial
 	b.ReportMetric(res.RackGini, "rack_gini")
 	b.ReportMetric(100*res.Top10PctRackShare, "top10pct_rack_share_pct")
 }
@@ -683,18 +630,12 @@ func BenchmarkExtRackConcentration(b *testing.B) {
 func BenchmarkExtSurvival(b *testing.B) {
 	t2, t3 := benchLogs(b)
 	b.ResetTimer()
-	var s2, s3 *core.GPUSurvivalResult
+	var s2, s3 *core.Study
 	for i := 0; i < b.N; i++ {
-		var err error
-		if s2, err = core.GPUSurvival(t2); err != nil {
-			b.Fatal(err)
-		}
-		if s3, err = core.GPUSurvival(t3); err != nil {
-			b.Fatal(err)
-		}
+		s2, s3 = studyOf(b, t2), studyOf(b, t3)
 	}
-	b.ReportMetric(100*s2.SurvivalAtOneYear, "t2_year_survival_pct")
-	b.ReportMetric(100*s3.SurvivalAtOneYear, "t3_year_survival_pct")
+	b.ReportMetric(100*s2.Survival.SurvivalAtOneYear, "t2_year_survival_pct")
+	b.ReportMetric(100*s3.Survival.SurvivalAtOneYear, "t3_year_survival_pct")
 }
 
 // BenchmarkExtRollingMTBF measures the rolling reliability series at the
@@ -917,7 +858,9 @@ func TestObsDisabledOverhead(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
 		t.Errorf("2M disabled-mode obs calls took %v, want < 50ms", elapsed)
 	}
-	if _, ok := obs.Take().SpanByName("overhead/span"); ok {
-		t.Error("disabled-mode calls must not record spans")
+	for _, sp := range obs.Take().Spans {
+		if sp.Name == "overhead/span" {
+			t.Error("disabled-mode calls must not record spans")
+		}
 	}
 }

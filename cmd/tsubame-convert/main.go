@@ -94,8 +94,9 @@ func readInput(in string) (failureLog *failures.Log, format string, err error) {
 	return failureLog, format, err
 }
 
-// writeOutput mirrors cli.WriteLogFile but with the format already
-// resolved (it may disagree with the extension when -format overrides).
+// writeOutput writes the log in the resolved format (it may disagree
+// with the extension when -format overrides), to stdout when out is
+// empty.
 func writeOutput(out, format string, failureLog *failures.Log) error {
 	if out == "" {
 		return cli.WriteLog(os.Stdout, failureLog, format)

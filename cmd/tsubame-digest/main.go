@@ -104,7 +104,7 @@ func digestStreaming(run *cli.Run, path, fromStr string, days int, opts core.Dig
 	if m := run.Manifest(); m != nil {
 		m.SetRecordCount("records", stats.Records)
 	}
-	from := stats.End.AddDate(0, 0, -days)
+	from := textreport.DefaultDigestStart(stats.End, days)
 	if fromStr != "" {
 		from = parseFrom(fromStr)
 	}

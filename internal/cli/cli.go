@@ -245,21 +245,10 @@ func OpenLog(path string) (r io.Reader, format string, closeFn func() error, err
 	return br, format, closeFn, nil
 }
 
-// WriteLogFile writes a log to a path with transparent gzip compression
-// (".gz" suffix) and format detection on the remaining extension.
-func WriteLogFile(path string, log *failures.Log) error {
-	format := DetectFormat("", strings.TrimSuffix(path, ".gz"))
-	if format == "auto" {
-		// Writers need a concrete format; unrecognized extensions keep
-		// the historical CSV default.
-		format = "csv"
-	}
-	return WriteLogFileFormat(path, log, format)
-}
-
-// WriteLogFileFormat is WriteLogFile with the format chosen by the
-// caller — tsubame-convert resolves it from -format/-out before writing,
-// and it may legitimately disagree with the extension.
+// WriteLogFileFormat writes a log to a path in the given format, with
+// transparent gzip compression when the path ends in ".gz". The caller
+// chooses the format — tsubame-convert resolves it from -format/-out
+// before writing, and it may legitimately disagree with the extension.
 func WriteLogFileFormat(path string, log *failures.Log, format string) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -250,9 +250,9 @@ func TestGzipRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	for _, name := range []string{"log.csv.gz", "log.ndjson.gz", "plain.csv"} {
+	for name, format := range map[string]string{"log.csv.gz": "csv", "log.ndjson.gz": "ndjson", "plain.csv": "csv"} {
 		path := filepath.Join(dir, name)
-		if err := WriteLogFile(path, log); err != nil {
+		if err := WriteLogFileFormat(path, log, format); err != nil {
 			t.Fatalf("%s write: %v", name, err)
 		}
 		back, err := LoadLogFile(path)

@@ -179,9 +179,6 @@ type Spec struct {
 	checks  []*Check
 }
 
-// Checks returns the spec's checks in evaluation order.
-func (s *Spec) Checks() []*Check { return s.checks }
-
 // checkState is the runtime accumulator of one check across seeds.
 type checkState struct {
 	check     *Check
@@ -238,27 +235,6 @@ func (s *Spec) Evaluate(ctx context.Context, p *synth.Profile, opts Options) (*R
 		return synth.GenerateEach(ctx, p, opts.Seeds, opts.Parallelism, func(i int, log *failures.Log) error {
 			return each(i, opts.Seeds[i], log)
 		})
-	})
-}
-
-// EvaluateLogs runs the battery against pre-materialized logs (seeds[i]
-// labels logs[i] in the report). Static checks still pin p against the
-// anchored calibration; the statistical checks consume the given logs,
-// which lets callers verify that a transformation (anonymization,
-// serialization) preserved every conformance statistic.
-func (s *Spec) EvaluateLogs(p *synth.Profile, seeds []int64, logs []*failures.Log, opts Options) (*Report, error) {
-	if len(seeds) != len(logs) {
-		return nil, fmt.Errorf("conform: %d seeds but %d logs", len(seeds), len(logs))
-	}
-	opts = opts.withDefaults()
-	opts.Seeds = seeds
-	return s.run(p, opts, func(each func(idx int, seed int64, log *failures.Log) error) error {
-		for i, log := range logs {
-			if err := each(i, seeds[i], log); err != nil {
-				return err
-			}
-		}
-		return nil
 	})
 }
 

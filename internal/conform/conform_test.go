@@ -61,9 +61,6 @@ func TestEvaluateNilProfile(t *testing.T) {
 	if _, err := spec.Evaluate(context.Background(), nil, Options{}); err == nil {
 		t.Fatal("Spec.Evaluate(nil) did not return an error")
 	}
-	if _, err := spec.EvaluateLogs(nil, nil, nil, Options{}); err == nil {
-		t.Fatal("Spec.EvaluateLogs(nil) did not return an error")
-	}
 }
 
 // TestConformanceTsubame2 is the headline acceptance gate: the shipped

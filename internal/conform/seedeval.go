@@ -174,7 +174,7 @@ func unitScaleGaps(positions []float64, shape float64) []float64 {
 	}
 	sorted := append([]float64(nil), positions...)
 	// Positions of a chronologically sorted log are already ascending;
-	// re-sorting keeps EvaluateLogs safe on arbitrary record orders.
+	// re-sorting keeps the check safe on arbitrary record orders.
 	sort.Float64s(sorted)
 	gaps := make([]float64, 0, len(sorted)-1)
 	var sum float64

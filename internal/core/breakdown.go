@@ -15,13 +15,9 @@ type CategoryShare struct {
 	Percent  float64
 }
 
-// CategoryBreakdown computes the per-category failure shares (RQ1,
+// categoryBreakdown computes the per-category failure shares (RQ1,
 // Figure 2), sorted by descending count with ties broken by category name
 // for determinism.
-func CategoryBreakdown(log *failures.Log) ([]CategoryShare, error) {
-	return categoryBreakdown(index.New(log))
-}
-
 func categoryBreakdown(ix *index.View) ([]CategoryShare, error) {
 	if ix.Len() == 0 {
 		return nil, ErrEmptyLog
@@ -60,15 +56,11 @@ type CauseShare struct {
 	Percent float64
 }
 
-// SoftwareCauses breaks the Software-category failures down by root locus
+// softwareCauses breaks the Software-category failures down by root locus
 // (RQ1, Figure 3) and returns the top-k loci sorted by descending count.
 // k <= 0 returns all loci. The percentages are relative to the software
 // failures carrying a cause, matching the paper's "171 reported root
 // loci" denominator.
-func SoftwareCauses(log *failures.Log, k int) ([]CauseShare, error) {
-	return softwareCauses(index.New(log), k)
-}
-
 func softwareCauses(ix *index.View, k int) ([]CauseShare, error) {
 	causes := failures.SoftwareCauses()
 	counts := make([]int, len(causes)) // by Figure 3 position

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/failures"
+	"repro/internal/index"
 	"repro/internal/synth"
 )
 
@@ -47,7 +48,7 @@ func emptyLog(t *testing.T) *failures.Log {
 
 func TestCategoryBreakdown(t *testing.T) {
 	log := tinyLog(t)
-	shares, err := CategoryBreakdown(log)
+	shares, err := categoryBreakdown(index.New(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestCategoryBreakdown(t *testing.T) {
 	if got := ShareOf(shares, failures.CatCPU); got != 0 {
 		t.Errorf("ShareOf(absent) = %v, want 0", got)
 	}
-	if _, err := CategoryBreakdown(emptyLog(t)); err != ErrEmptyLog {
+	if _, err := categoryBreakdown(index.New(emptyLog(t))); err != ErrEmptyLog {
 		t.Errorf("empty log error = %v", err)
 	}
 }
@@ -84,7 +85,7 @@ func TestCategoryBreakdownDeterministicTies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shares, err := CategoryBreakdown(log)
+	shares, err := categoryBreakdown(index.New(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestSoftwareCauses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	causes, err := SoftwareCauses(log, 0)
+	causes, err := softwareCauses(index.New(log), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,18 +115,18 @@ func TestSoftwareCauses(t *testing.T) {
 	if math.Abs(causes[0].Percent-66.666) > 0.01 {
 		t.Errorf("GPU-driver percent = %v, want ~66.7 (of software failures)", causes[0].Percent)
 	}
-	top1, err := SoftwareCauses(log, 1)
+	top1, err := softwareCauses(index.New(log), 1)
 	if err != nil || len(top1) != 1 {
 		t.Errorf("top-1 = %+v, %v", top1, err)
 	}
-	if _, err := SoftwareCauses(tinyLog(t), 5); err != ErrEmptyLog {
+	if _, err := softwareCauses(index.New(tinyLog(t)), 5); err != ErrEmptyLog {
 		t.Errorf("no-cause log error = %v", err)
 	}
 }
 
 func TestNodeFailureCounts(t *testing.T) {
 	log := tinyLog(t)
-	bins, err := NodeFailureCounts(log)
+	bins, err := nodeFailureCounts(index.New(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,14 +144,14 @@ func TestNodeFailureCounts(t *testing.T) {
 	if got := PercentWithExactly(bins, 7); got != 0 {
 		t.Errorf("absent bin = %v, want 0", got)
 	}
-	if _, err := NodeFailureCounts(emptyLog(t)); err != ErrEmptyLog {
+	if _, err := nodeFailureCounts(index.New(emptyLog(t))); err != ErrEmptyLog {
 		t.Errorf("empty error = %v", err)
 	}
 }
 
 func TestMultiFailureNodeSplit(t *testing.T) {
 	log := tinyLog(t)
-	split, err := MultiFailureNodeSplit(log)
+	split, err := multiFailureNodeSplit(index.New(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestMultiFailureNodeSplit(t *testing.T) {
 
 func TestGPUSlotDistribution(t *testing.T) {
 	log := tinyLog(t)
-	slots, err := GPUSlotDistribution(log)
+	slots, err := gpuSlotDistribution(index.New(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,14 +180,14 @@ func TestGPUSlotDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GPUSlotDistribution(noGPU); err != ErrEmptyLog {
+	if _, err := gpuSlotDistribution(index.New(noGPU)); err != ErrEmptyLog {
 		t.Errorf("no-GPU error = %v", err)
 	}
 }
 
 func TestMultiGPUInvolvement(t *testing.T) {
 	log := tinyLog(t)
-	rows, err := MultiGPUInvolvement(log)
+	rows, err := multiGPUInvolvement(index.New(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,14 +200,14 @@ func TestMultiGPUInvolvement(t *testing.T) {
 	if math.Abs(MultiGPUPercent(rows)-33.333) > 0.01 {
 		t.Errorf("multi-GPU percent = %v, want ~33.3", MultiGPUPercent(rows))
 	}
-	if _, err := MultiGPUInvolvement(emptyLog(t)); err != ErrEmptyLog {
+	if _, err := multiGPUInvolvement(index.New(emptyLog(t))); err != ErrEmptyLog {
 		t.Errorf("empty error = %v", err)
 	}
 }
 
 func TestTBFAnalysis(t *testing.T) {
 	log := tinyLog(t)
-	res, err := TBFAnalysis(log)
+	res, err := tbfAnalysis(index.New(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,14 +221,14 @@ func TestTBFAnalysis(t *testing.T) {
 	single, _ := failures.NewLog(failures.Tsubame2, []failures.Failure{
 		{ID: 1, System: failures.Tsubame2, Time: ts(0), Category: failures.CatGPU, Node: "n1", GPUs: []int{0}},
 	})
-	if _, err := TBFAnalysis(single); err != ErrTooFewRecords {
+	if _, err := tbfAnalysis(index.New(single)); err != ErrTooFewRecords {
 		t.Errorf("single-record error = %v", err)
 	}
 }
 
 func TestTBFByCategory(t *testing.T) {
 	log := tinyLog(t)
-	rows, err := TBFByCategory(log, 2)
+	rows, err := tbfByCategory(index.New(log), 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +239,10 @@ func TestTBFByCategory(t *testing.T) {
 	if math.Abs(rows[0].Summary.Mean-15) > 1e-9 {
 		t.Errorf("GPU TBF mean = %v, want 15", rows[0].Summary.Mean)
 	}
-	if _, err := TBFByCategory(log, 10); err != ErrTooFewRecords {
+	if _, err := tbfByCategory(index.New(log), 10, 1); err != ErrTooFewRecords {
 		t.Errorf("high threshold error = %v", err)
 	}
-	if _, err := TBFByCategory(emptyLog(t), 2); err != ErrEmptyLog {
+	if _, err := tbfByCategory(index.New(emptyLog(t)), 2, 1); err != ErrEmptyLog {
 		t.Errorf("empty error = %v", err)
 	}
 }
@@ -278,7 +279,7 @@ func TestMultiGPUTemporal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MultiGPUTemporal(log, 72)
+	res, err := multiGPUTemporal(index.New(log), 72)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,14 +294,14 @@ func TestMultiGPUTemporal(t *testing.T) {
 	if math.Abs(res.WithinWindowPercent-66.666) > 0.01 {
 		t.Errorf("within-window = %v%%, want ~66.7%%", res.WithinWindowPercent)
 	}
-	if _, err := MultiGPUTemporal(tinyLog(t), 72); err != ErrTooFewRecords {
+	if _, err := multiGPUTemporal(index.New(tinyLog(t)), 72); err != ErrTooFewRecords {
 		t.Errorf("one-multi-event log error = %v", err)
 	}
 }
 
 func TestTTRAnalysis(t *testing.T) {
 	log := tinyLog(t)
-	res, err := TTRAnalysis(log)
+	res, err := ttrAnalysis(index.New(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,14 +309,14 @@ func TestTTRAnalysis(t *testing.T) {
 	if math.Abs(res.MTTRHours-14.4) > 1e-9 || res.MaxHours != 30 {
 		t.Errorf("TTR = %+v", res)
 	}
-	if _, err := TTRAnalysis(emptyLog(t)); err != ErrEmptyLog {
+	if _, err := ttrAnalysis(index.New(emptyLog(t))); err != ErrEmptyLog {
 		t.Errorf("empty error = %v", err)
 	}
 }
 
 func TestTTRByCategory(t *testing.T) {
 	log := tinyLog(t)
-	rows, err := TTRByCategory(log, 1)
+	rows, err := ttrByCategory(index.New(log), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +348,7 @@ func TestTTRSpread(t *testing.T) {
 
 func TestMonthlySeasonality(t *testing.T) {
 	log := tinyLog(t)
-	buckets, err := MonthlySeasonality(log)
+	buckets, err := monthlySeasonality(index.New(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +363,7 @@ func TestMonthlySeasonality(t *testing.T) {
 			t.Errorf("month %v has %d failures, want 0", buckets[i].Month, buckets[i].Failures)
 		}
 	}
-	if _, err := MonthlySeasonality(emptyLog(t)); err != ErrEmptyLog {
+	if _, err := monthlySeasonality(index.New(emptyLog(t))); err != ErrEmptyLog {
 		t.Errorf("empty error = %v", err)
 	}
 }
@@ -394,7 +395,7 @@ func TestSeasonalAnalysisOnSynthetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := SeasonalAnalysis(log)
+	sc, err := seasonalAnalysis(index.New(log))
 	if err != nil {
 		t.Fatal(err)
 	}

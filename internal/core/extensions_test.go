@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/failures"
+	"repro/internal/index"
 	"repro/internal/stats"
 	"repro/internal/synth"
 )
@@ -28,7 +29,7 @@ func syntheticT3(t *testing.T) *failures.Log {
 }
 
 func TestSpatialAnalysis(t *testing.T) {
-	res, err := SpatialAnalysis(syntheticT2(t))
+	res, err := spatialAnalysis(index.New(syntheticT2(t)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestSpatialAnalysis(t *testing.T) {
 }
 
 func TestSpatialAnalysisErrors(t *testing.T) {
-	if _, err := SpatialAnalysis(emptyLog(t)); err != ErrEmptyLog {
+	if _, err := spatialAnalysis(index.New(emptyLog(t)), 1); err != ErrEmptyLog {
 		t.Errorf("empty error = %v", err)
 	}
 	// Node identifiers outside the canonical topology are rejected.
@@ -73,13 +74,13 @@ func TestSpatialAnalysisErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SpatialAnalysis(bad); err == nil {
+	if _, err := spatialAnalysis(index.New(bad), 1); err == nil {
 		t.Error("foreign node IDs should fail")
 	}
 }
 
 func TestGPUSurvival(t *testing.T) {
-	res2, err := GPUSurvival(syntheticT2(t))
+	res2, err := gpuSurvival(index.New(syntheticT2(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestGPUSurvival(t *testing.T) {
 		prev = pt.Survival
 	}
 
-	res3, err := GPUSurvival(syntheticT3(t))
+	res3, err := gpuSurvival(index.New(syntheticT3(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestGPUSurvivalNoGPUData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GPUSurvival(log); err != ErrEmptyLog {
+	if _, err := gpuSurvival(index.New(log)); err != ErrEmptyLog {
 		t.Errorf("no-GPU log error = %v", err)
 	}
 }
@@ -328,7 +329,7 @@ func TestDiffPeriodsErrors(t *testing.T) {
 }
 
 func TestGPUSurvivalHazard(t *testing.T) {
-	res, err := GPUSurvival(syntheticT2(t))
+	res, err := gpuSurvival(index.New(syntheticT2(t)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,14 +13,10 @@ type InvolvementRow struct {
 	Percent float64
 }
 
-// MultiGPUInvolvement computes Table III over the GPU-category failures of
+// multiGPUInvolvement computes Table III over the GPU-category failures of
 // the log (RQ3): one row per possible involvement size, 1..GPUsPerNode,
 // including zero rows (Tsubame-3 famously has a zero row for all four
 // GPUs).
-func MultiGPUInvolvement(log *failures.Log) ([]InvolvementRow, error) {
-	return multiGPUInvolvement(index.New(log))
-}
-
 func multiGPUInvolvement(ix *index.View) ([]InvolvementRow, error) {
 	slots := failures.GPUsPerNode(ix.System())
 	counts := make([]int, slots+1)

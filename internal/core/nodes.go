@@ -15,12 +15,8 @@ type NodeCountBin struct {
 	Percent  float64
 }
 
-// NodeFailureCounts computes the failures-per-node distribution over the
+// nodeFailureCounts computes the failures-per-node distribution over the
 // nodes that appear in the log (RQ2, Figure 4), sorted by failure count.
-func NodeFailureCounts(log *failures.Log) ([]NodeCountBin, error) {
-	return nodeFailureCounts(index.New(log))
-}
-
 func nodeFailureCounts(ix *index.View) ([]NodeCountBin, error) {
 	perNode := ix.NodeCounts()
 	if len(perNode) == 0 {
@@ -71,12 +67,8 @@ type MultiNodeSplit struct {
 	Software int
 }
 
-// MultiFailureNodeSplit computes the hardware/software split of failures
+// multiFailureNodeSplit computes the hardware/software split of failures
 // on multi-failure nodes (RQ2).
-func MultiFailureNodeSplit(log *failures.Log) (MultiNodeSplit, error) {
-	return multiFailureNodeSplit(index.New(log))
-}
-
 func multiFailureNodeSplit(ix *index.View) (MultiNodeSplit, error) {
 	perNode := ix.NodeCounts()
 	if len(perNode) == 0 {
@@ -105,13 +97,9 @@ type SlotShare struct {
 	Percent   float64
 }
 
-// GPUSlotDistribution computes the per-slot failure distribution within a
+// gpuSlotDistribution computes the per-slot failure distribution within a
 // node (RQ2, Figure 5). Every GPU-related record contributes one incident
 // per involved slot.
-func GPUSlotDistribution(log *failures.Log) ([]SlotShare, error) {
-	return gpuSlotDistribution(index.New(log))
-}
-
 func gpuSlotDistribution(ix *index.View) ([]SlotShare, error) {
 	slots := failures.GPUsPerNode(ix.System())
 	counts := make([]int, slots)

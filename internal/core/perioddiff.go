@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/failures"
+	"repro/internal/index"
 	"repro/internal/stats"
 )
 
@@ -62,11 +63,11 @@ func DiffPeriods(before, after *failures.Log) (*PeriodDiff, error) {
 	}
 	d.TBFShiftP = tbf.P
 
-	beforeShares, err := CategoryBreakdown(before)
+	beforeShares, err := categoryBreakdown(index.New(before))
 	if err != nil {
 		return nil, err
 	}
-	afterShares, err := CategoryBreakdown(after)
+	afterShares, err := categoryBreakdown(index.New(after))
 	if err != nil {
 		return nil, err
 	}

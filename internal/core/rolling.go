@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/failures"
-	"repro/internal/stats"
 )
 
 // WindowMTBF is one point of a rolling reliability series: the MTBF
@@ -79,15 +78,4 @@ func MTBFTrend(series []WindowMTBF) (float64, error) {
 		return 0, fmt.Errorf("core: degenerate early MTBF")
 	}
 	return late / early, nil
-}
-
-// MTBFTrendTest applies the Mann-Kendall monotone-trend test to a rolling
-// series; a small p-value means the within-generation reliability drift
-// is statistically real rather than windowing noise.
-func MTBFTrendTest(series []WindowMTBF) (stats.MannKendallResult, error) {
-	values := make([]float64, len(series))
-	for i, pt := range series {
-		values[i] = pt.MTBFHours
-	}
-	return stats.MannKendall(values)
 }

@@ -191,33 +191,3 @@ func RunView(ix *index.View, opts Options) (*Study, error) {
 	}
 	return s, nil
 }
-
-// CompareParallel builds the cross-generation comparison, analyzing the
-// two logs concurrently and fanning each study's analyses out under the
-// same options. Each log gets one index shared between its study phases
-// and the comparison metrics. CompareParallel with Parallelism 1 is
-// Compare.
-func CompareParallel(oldLog, newLog *failures.Log, opts Options) (*Comparison, error) {
-	oldIx, newIx := index.New(oldLog), index.New(newLog)
-	var oldStudy, newStudy *Study
-	err := parallel.Do(context.Background(), opts.Parallelism,
-		func(context.Context) error {
-			var err error
-			if oldStudy, err = RunView(oldIx, opts); err != nil {
-				return fmt.Errorf("core: old-generation study: %w", err)
-			}
-			return nil
-		},
-		func(context.Context) error {
-			var err error
-			if newStudy, err = RunView(newIx, opts); err != nil {
-				return fmt.Errorf("core: new-generation study: %w", err)
-			}
-			return nil
-		},
-	)
-	if err != nil {
-		return nil, err
-	}
-	return compareStudies(oldIx, newIx, oldStudy, newStudy)
-}

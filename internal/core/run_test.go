@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/failures"
+	"repro/internal/index"
 	"repro/internal/synth"
 )
 
@@ -64,7 +66,16 @@ func TestCompareParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CompareParallel(t2, t3, Options{Parallelism: 4})
+	oldIx, newIx := index.New(t2), index.New(t3)
+	oldStudy, err := RunView(oldIx, Options{Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newStudy, err := RunView(newIx, Options{Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := compareStudies(oldIx, newIx, oldStudy, newStudy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +109,11 @@ func TestShardedVariantsMatchSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, width := range []int{0, 3, 8} {
-		seqSpatial, err := SpatialAnalysis(t2)
+		seqSpatial, err := spatialAnalysis(index.New(t2), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parSpatial, err := SpatialAnalysisParallel(t2, width)
+		parSpatial, err := spatialAnalysis(index.New(t2), width)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,11 +121,11 @@ func TestShardedVariantsMatchSequential(t *testing.T) {
 			t.Errorf("width %d: spatial analysis diverged", width)
 		}
 
-		seqTBF, err := TBFByCategory(t2, 5)
+		seqTBF, err := tbfByCategory(index.New(t2), 5, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parTBF, err := TBFByCategoryParallel(t2, 5, width)
+		parTBF, err := tbfByCategory(index.New(t2), 5, width)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,16 +133,54 @@ func TestShardedVariantsMatchSequential(t *testing.T) {
 			t.Errorf("width %d: per-type TBF diverged", width)
 		}
 
-		seqTTR, err := TTRByCategory(t2, 2)
+		seqTTR, err := ttrByCategory(index.New(t2), 2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parTTR, err := TTRByCategoryParallel(t2, 2, width)
+		parTTR, err := ttrByCategory(index.New(t2), 2, width)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(seqTTR, parTTR) {
 			t.Errorf("width %d: per-type TTR diverged", width)
+		}
+	}
+}
+
+// TestStandaloneAnalysesMatchSharedIndex checks that each analysis run on
+// a private index over the log lands on exactly the Study field produced
+// by Run's shared index: sharing one view across phases must never change
+// a result.
+func TestStandaloneAnalysesMatchSharedIndex(t *testing.T) {
+	t2, t3, err := synth.GenerateBoth(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, log := range []*failures.Log{t2, t3} {
+		study, err := Run(log, Options{Parallelism: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := categoryBreakdown(index.New(log)); err != nil || !reflect.DeepEqual(got, study.Breakdown) {
+			t.Errorf("%v: standalone categoryBreakdown diverges (%v)", log.System(), err)
+		}
+		if got, err := tbfAnalysis(index.New(log)); err != nil || !reflect.DeepEqual(got, study.TBF) {
+			t.Errorf("%v: standalone tbfAnalysis diverges (%v)", log.System(), err)
+		}
+		if got, err := ttrAnalysis(index.New(log)); err != nil || !reflect.DeepEqual(got, study.TTR) {
+			t.Errorf("%v: standalone ttrAnalysis diverges (%v)", log.System(), err)
+		}
+		if got, err := tbfByCategory(index.New(log), minPerTypeTBF, 1); err != nil || !reflect.DeepEqual(got, study.TBFPerType) {
+			t.Errorf("%v: standalone tbfByCategory diverges (%v)", log.System(), err)
+		}
+		if got, err := ttrByCategory(index.New(log), minPerTypeTTR, 1); err != nil || !reflect.DeepEqual(got, study.TTRPerType) {
+			t.Errorf("%v: standalone ttrByCategory diverges (%v)", log.System(), err)
+		}
+		if got, err := monthlySeasonality(index.New(log)); err != nil || !reflect.DeepEqual(got, study.Seasonal) {
+			t.Errorf("%v: standalone monthlySeasonality diverges (%v)", log.System(), err)
+		}
+		if got, err := nodeFailureCounts(index.New(log)); err != nil || !reflect.DeepEqual(got, study.NodeCounts) {
+			t.Errorf("%v: standalone nodeFailureCounts diverges (%v)", log.System(), err)
 		}
 	}
 }

@@ -20,13 +20,9 @@ type MonthBucket struct {
 	TTR stats.Summary
 }
 
-// MonthlySeasonality computes the per-calendar-month failure counts and
+// monthlySeasonality computes the per-calendar-month failure counts and
 // recovery-time distributions (RQ5, Figures 11 and 12). All twelve months
 // are returned in calendar order, including empty ones.
-func MonthlySeasonality(log *failures.Log) ([]MonthBucket, error) {
-	return monthlySeasonality(index.New(log))
-}
-
 func monthlySeasonality(ix *index.View) ([]MonthBucket, error) {
 	if ix.Len() == 0 {
 		return nil, ErrEmptyLog
@@ -63,12 +59,8 @@ type SeasonalCorrelation struct {
 	ChiSquareP float64
 }
 
-// SeasonalAnalysis runs the density-versus-recovery tests over the monthly
+// seasonalAnalysis runs the density-versus-recovery tests over the monthly
 // buckets.
-func SeasonalAnalysis(log *failures.Log) (SeasonalCorrelation, error) {
-	return seasonalAnalysis(index.New(log))
-}
-
 func seasonalAnalysis(ix *index.View) (SeasonalCorrelation, error) {
 	buckets, err := monthlySeasonality(ix)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/failures"
 	"repro/internal/index"
 	"repro/internal/parallel"
 	"repro/internal/stats"
@@ -43,19 +42,6 @@ type SpatialResult struct {
 	Lorenz []stats.LorenzPoint
 }
 
-// SpatialAnalysis computes the rack- and node-level failure concentration
-// of a log against its machine's topology.
-func SpatialAnalysis(log *failures.Log) (*SpatialResult, error) {
-	return spatialAnalysis(index.New(log), 1)
-}
-
-// SpatialAnalysisParallel is SpatialAnalysis with the per-node
-// aggregation sharded across a bounded worker pool; results are
-// identical under any width.
-func SpatialAnalysisParallel(log *failures.Log, parallelism int) (*SpatialResult, error) {
-	return spatialAnalysis(index.New(log), parallelism)
-}
-
 // spatialShard is one shard's partial reduction over a contiguous range
 // of the sorted node list: per-rack counts and the shard's failure total.
 // Integer partials merge into the same grand totals in any order, which
@@ -65,6 +51,10 @@ type spatialShard struct {
 	total      int
 }
 
+// spatialAnalysis computes the rack- and node-level failure concentration
+// of a log against its machine's topology, with the per-node aggregation
+// sharded across a bounded worker pool; results are identical under any
+// width.
 func spatialAnalysis(ix *index.View, parallelism int) (*SpatialResult, error) {
 	machine, err := system.ForSystem(ix.System())
 	if err != nil {

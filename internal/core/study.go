@@ -99,8 +99,7 @@ func Compare(oldLog, newLog *failures.Log) (*Comparison, error) {
 
 // compareStudies assembles the Comparison from two already-built studies,
 // reusing each study's index so the comparison metrics read the facets
-// the battery already derived; shared by the sequential and parallel
-// entry points.
+// the battery already derived.
 func compareStudies(oldIx, newIx *index.View, oldStudy, newStudy *Study) (*Comparison, error) {
 	c := &Comparison{
 		Old:             oldStudy,

@@ -36,11 +36,7 @@ type GPUSurvivalResult struct {
 	Hazard []stats.HazardPoint
 }
 
-// GPUSurvival computes the per-card survival analysis of a log.
-func GPUSurvival(log *failures.Log) (*GPUSurvivalResult, error) {
-	return gpuSurvival(index.New(log))
-}
-
+// gpuSurvival computes the per-card survival analysis of a log.
 func gpuSurvival(ix *index.View) (*GPUSurvivalResult, error) {
 	machine, err := system.ForSystem(ix.System())
 	if err != nil {

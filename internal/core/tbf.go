@@ -29,14 +29,9 @@ type TBFResult struct {
 	CDF *stats.ECDF
 }
 
-// TBFAnalysis computes the time-between-failures distribution of the whole
-// log.
-func TBFAnalysis(log *failures.Log) (*TBFResult, error) {
-	return tbfAnalysis(index.New(log))
-}
-
-// tbfAnalysis reads the gap series and its sorted arena off the index:
-// the mean accumulates in chronological order (bit-identical to the
+// tbfAnalysis computes the time-between-failures distribution of the whole
+// log. It reads the gap series and its sorted arena off the index: the
+// mean accumulates in chronological order (bit-identical to the
 // historical path), while the ECDF and all three quantiles share the
 // arena's single sort.
 func tbfAnalysis(ix *index.View) (*TBFResult, error) {
@@ -67,21 +62,12 @@ type CategoryDurations struct {
 	Summary  stats.Summary
 }
 
-// TBFByCategory computes the distribution of time between two failures of
+// tbfByCategory computes the distribution of time between two failures of
 // the same category, for every category with at least minCount failures
 // (the paper's Figure 7 omits sparsely populated categories). Rows are
-// sorted by ascending mean, matching the figure's ordering.
-func TBFByCategory(log *failures.Log, minCount int) ([]CategoryDurations, error) {
-	return tbfByCategory(index.New(log), minCount, 1)
-}
-
-// TBFByCategoryParallel is TBFByCategory with the per-category summaries
-// fanned out across a bounded worker pool; results are identical under
-// any width.
-func TBFByCategoryParallel(log *failures.Log, minCount, parallelism int) ([]CategoryDurations, error) {
-	return tbfByCategory(index.New(log), minCount, parallelism)
-}
-
+// sorted by ascending mean, matching the figure's ordering. The
+// per-category summaries fan out across a bounded worker pool; results
+// are identical under any width.
 func tbfByCategory(ix *index.View, minCount, parallelism int) ([]CategoryDurations, error) {
 	if ix.Len() == 0 {
 		return nil, ErrEmptyLog

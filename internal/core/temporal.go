@@ -33,12 +33,8 @@ type MultiGPUTemporalResult struct {
 	Gaps []float64
 }
 
-// MultiGPUTemporal analyzes the clustering of multi-GPU failures using the
+// multiGPUTemporal analyzes the clustering of multi-GPU failures using the
 // given proximity window (hours).
-func MultiGPUTemporal(log *failures.Log, windowHours float64) (*MultiGPUTemporalResult, error) {
-	return multiGPUTemporal(index.New(log), windowHours)
-}
-
 func multiGPUTemporal(ix *index.View, windowHours float64) (*MultiGPUTemporalResult, error) {
 	var times []time.Time
 	for _, r := range ix.Records() {

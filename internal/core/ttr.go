@@ -20,13 +20,9 @@ type TTRResult struct {
 	CDF              *stats.ECDF
 }
 
-// TTRAnalysis computes the time-to-recovery distribution of the whole log.
-func TTRAnalysis(log *failures.Log) (*TTRResult, error) {
-	return ttrAnalysis(index.New(log))
-}
-
-// ttrAnalysis mirrors tbfAnalysis: chronological series for the mean,
-// shared sorted arena for the ECDF, quantiles, and maximum.
+// ttrAnalysis computes the time-to-recovery distribution of the whole log.
+// It mirrors tbfAnalysis: chronological series for the mean, shared
+// sorted arena for the ECDF, quantiles, and maximum.
 func ttrAnalysis(ix *index.View) (*TTRResult, error) {
 	hours := ix.RecoveryHours()
 	if len(hours) == 0 {
@@ -49,20 +45,11 @@ func ttrAnalysis(ix *index.View) (*TTRResult, error) {
 	}, nil
 }
 
-// TTRByCategory computes the recovery-time distribution per category for
+// ttrByCategory computes the recovery-time distribution per category for
 // categories with at least minCount records, sorted by ascending mean
-// recovery time (Figure 10's ordering).
-func TTRByCategory(log *failures.Log, minCount int) ([]CategoryDurations, error) {
-	return ttrByCategory(index.New(log), minCount, 1)
-}
-
-// TTRByCategoryParallel is TTRByCategory with the per-category summaries
-// fanned out across a bounded worker pool; results are identical under
-// any width.
-func TTRByCategoryParallel(log *failures.Log, minCount, parallelism int) ([]CategoryDurations, error) {
-	return ttrByCategory(index.New(log), minCount, parallelism)
-}
-
+// recovery time (Figure 10's ordering). The per-category summaries fan
+// out across a bounded worker pool; results are identical under any
+// width.
 func ttrByCategory(ix *index.View, minCount, parallelism int) ([]CategoryDurations, error) {
 	if ix.Len() == 0 {
 		return nil, ErrEmptyLog

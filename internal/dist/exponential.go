@@ -34,9 +34,6 @@ func (e Exponential) Mean() float64 { return e.MeanVal }
 // Var returns the variance mean^2.
 func (e Exponential) Var() float64 { return e.MeanVal * e.MeanVal }
 
-// Rate returns the hazard rate 1/mean.
-func (e Exponential) Rate() float64 { return 1 / e.MeanVal }
-
 // CDF returns 1 - exp(-x/mean) for x >= 0.
 func (e Exponential) CDF(x float64) float64 {
 	if x <= 0 {

@@ -18,9 +18,6 @@ func TestExponentialAnalytic(t *testing.T) {
 	if !almostEqual(e.Mean(), 15, 1e-12) || !almostEqual(e.Var(), 225, 1e-12) {
 		t.Errorf("moments = %v, %v", e.Mean(), e.Var())
 	}
-	if !almostEqual(e.Rate(), 1.0/15, 1e-12) {
-		t.Errorf("rate = %v", e.Rate())
-	}
 	// The Tsubame-2 signature: p75 = mean * ln 4 ~ 20.8 for mean 15.
 	if !almostEqual(e.Quantile(0.75), 15*math.Log(4), 1e-9) {
 		t.Errorf("p75 = %v, want %v", e.Quantile(0.75), 15*math.Log(4))
@@ -136,35 +133,6 @@ func TestNormalQuantile(t *testing.T) {
 	}
 }
 
-func TestGammaContract(t *testing.T) {
-	for _, alpha := range []float64{0.5, 1.0, 3.7} {
-		g, err := NewGamma(alpha, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkDistribution(t, g)
-	}
-}
-
-func TestGammaReducesToExponential(t *testing.T) {
-	g, _ := NewGamma(1, 25)
-	e, _ := NewExponential(25)
-	for _, x := range []float64{1, 10, 25, 100} {
-		if !almostEqual(g.CDF(x), e.CDF(x), 1e-9) {
-			t.Errorf("Gamma(1) CDF(%v) = %v, exponential = %v", x, g.CDF(x), e.CDF(x))
-		}
-	}
-}
-
-func TestNewGammaRejectsBadParams(t *testing.T) {
-	if _, err := NewGamma(0, 1); err == nil {
-		t.Error("shape 0 should fail")
-	}
-	if _, err := NewGamma(1, -2); err == nil {
-		t.Error("negative scale should fail")
-	}
-}
-
 func TestEmpiricalExactResample(t *testing.T) {
 	obs := []float64{10, 20, 30}
 	e, err := NewEmpirical(obs, false)
@@ -261,33 +229,6 @@ func TestNewMixtureErrors(t *testing.T) {
 	}
 }
 
-func TestShifted(t *testing.T) {
-	base, _ := NewExponential(10)
-	s, err := NewShifted(base, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDistribution(t, s)
-	if !almostEqual(s.Mean(), 15, 1e-12) {
-		t.Errorf("shifted mean = %v, want 15", s.Mean())
-	}
-	if s.CDF(4.9) != 0 {
-		t.Errorf("CDF below offset = %v, want 0", s.CDF(4.9))
-	}
-	rng := NewRNG(5)
-	for i := 0; i < 200; i++ {
-		if x := s.Sample(rng); x < 5 {
-			t.Fatalf("shifted sample %v below offset", x)
-		}
-	}
-	if _, err := NewShifted(nil, 1); err == nil {
-		t.Error("nil base should fail")
-	}
-	if _, err := NewShifted(base, -1); err == nil {
-		t.Error("negative offset should fail")
-	}
-}
-
 func TestTruncated(t *testing.T) {
 	base, _ := NewLogNormal(4, 1)
 	tr, err := NewTruncated(base, 290)
@@ -330,9 +271,8 @@ func TestStringers(t *testing.T) {
 	e, _ := NewExponential(15)
 	w, _ := NewWeibull(0.74, 80)
 	l, _ := NewLogNormal(3, 1)
-	g, _ := NewGamma(2, 5)
 	m, _ := NewMixture([]Distribution{e}, []float64{1})
-	for _, d := range []Distribution{e, w, l, g, m} {
+	for _, d := range []Distribution{e, w, l, m} {
 		if d.String() == "" {
 			t.Errorf("%T has empty String()", d)
 		}
@@ -403,11 +343,5 @@ func TestNumericHazardMatchesAnalytic(t *testing.T) {
 		if math.Abs(numeric-analytic) > 0.02*analytic {
 			t.Errorf("numeric h(%v) = %v vs analytic %v", x, numeric, analytic)
 		}
-	}
-	if !math.IsNaN(NumericHazard(nil, 1, 0.1)) {
-		t.Error("nil distribution should give NaN")
-	}
-	if !math.IsNaN(NumericHazard(w, 1, 0)) {
-		t.Error("zero eps should give NaN")
 	}
 }

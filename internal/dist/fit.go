@@ -41,31 +41,11 @@ func newLogSample(xs []float64, fit string) (*logSample, error) {
 	return s, nil
 }
 
-// FitExponential returns the maximum-likelihood exponential fit (the sample
-// mean). Non-positive observations are rejected.
-func FitExponential(xs []float64) (Exponential, error) {
-	s, err := newLogSample(xs, "fit")
-	if err != nil {
-		return Exponential{}, err
-	}
-	return s.fitExponential()
-}
-
 func (s *logSample) fitExponential() (Exponential, error) {
 	if len(s.xs) == 0 {
 		return Exponential{}, fmt.Errorf("dist: fit needs at least 1 observation")
 	}
 	return NewExponential(s.mean)
-}
-
-// FitLogNormal returns the maximum-likelihood log-normal fit: mu and sigma
-// are the mean and standard deviation of the log observations.
-func FitLogNormal(xs []float64) (LogNormal, error) {
-	s, err := newLogSample(xs, "lognormal fit")
-	if err != nil {
-		return LogNormal{}, err
-	}
-	return s.fitLogNormal()
 }
 
 func (s *logSample) fitLogNormal() (LogNormal, error) {

@@ -48,18 +48,3 @@ func (l LogNormal) Hazard(x float64) float64 {
 	}
 	return pdf / surv
 }
-
-// NumericHazard estimates any distribution's hazard at x from its CDF by
-// the finite difference h(x) ~ [S(x) - S(x+eps)] / (eps * S(x)). It backs
-// hazard plots for families without a closed form (mixtures, empiricals).
-func NumericHazard(d Distribution, x, eps float64) float64 {
-	if d == nil || x < 0 || !(eps > 0) {
-		return math.NaN()
-	}
-	s0 := 1 - d.CDF(x)
-	s1 := 1 - d.CDF(x+eps)
-	if s0 <= 0 {
-		return math.Inf(1)
-	}
-	return (s0 - s1) / (eps * s0)
-}

@@ -6,45 +6,6 @@ import (
 	"math/rand"
 )
 
-// Shifted translates a base distribution right by Offset, modelling a
-// minimum duration (a repair can never take less than the travel/triage
-// floor; an inter-failure gap is never exactly zero in the logs).
-type Shifted struct {
-	Base   Distribution
-	Offset float64
-}
-
-// NewShifted wraps base with a non-negative offset.
-func NewShifted(base Distribution, offset float64) (Shifted, error) {
-	if base == nil {
-		return Shifted{}, fmt.Errorf("dist: shifted needs a base distribution")
-	}
-	if offset < 0 || math.IsNaN(offset) {
-		return Shifted{}, fmt.Errorf("dist: shift offset must be non-negative, got %v", offset)
-	}
-	return Shifted{Base: base, Offset: offset}, nil
-}
-
-// Sample draws base + offset.
-func (s Shifted) Sample(rng *rand.Rand) float64 { return s.Base.Sample(rng) + s.Offset }
-
-// Mean returns base mean + offset.
-func (s Shifted) Mean() float64 { return s.Base.Mean() + s.Offset }
-
-// Var returns the base variance (translation invariant).
-func (s Shifted) Var() float64 { return s.Base.Var() }
-
-// CDF returns base CDF at x-offset.
-func (s Shifted) CDF(x float64) float64 { return s.Base.CDF(x - s.Offset) }
-
-// Quantile returns base quantile + offset.
-func (s Shifted) Quantile(p float64) float64 { return s.Base.Quantile(p) + s.Offset }
-
-// String implements fmt.Stringer.
-func (s Shifted) String() string {
-	return fmt.Sprintf("Shifted(%s, +%.4g)", s.Base, s.Offset)
-}
-
 // Truncated clips a base distribution to [0, Hi] by resampling (rejection).
 // The TTR samplers use it to keep synthetic repairs inside the documented
 // maxima (for example ~290 h for Tsubame-2 SSD repairs).

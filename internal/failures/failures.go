@@ -89,9 +89,6 @@ func (f Failure) Software() bool { return f.Category.Software() }
 // same node simultaneously.
 func (f Failure) MultiGPU() bool { return len(f.GPUs) >= 2 }
 
-// RepairEnd returns the moment the repair completed.
-func (f Failure) RepairEnd() time.Time { return f.Time.Add(f.Recovery) }
-
 // Validate checks the record's internal consistency against the taxonomy
 // of its system.
 func (f Failure) Validate() error {

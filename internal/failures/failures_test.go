@@ -119,9 +119,6 @@ func TestFailureDerived(t *testing.T) {
 	if !f.MultiGPU() {
 		t.Error("two-GPU failure should be MultiGPU")
 	}
-	if got := f.RepairEnd(); !got.Equal(f.Time.Add(2 * time.Hour)) {
-		t.Errorf("RepairEnd = %v", got)
-	}
 }
 
 func TestSortByTime(t *testing.T) {

@@ -247,6 +247,11 @@ func (l *Log) Records() []Failure {
 // At returns record i in chronological order.
 func (l *Log) At(i int) Failure { return l.records[i] }
 
+// Ref returns a pointer to record i in chronological order, for hot
+// loops that read a record in place instead of copying it. The record
+// belongs to the log: callers must not modify it.
+func (l *Log) Ref(i int) *Failure { return &l.records[i] }
+
 // Window returns the occurrence times of the first and last records.
 // ok is false for an empty log.
 func (l *Log) Window() (start, end time.Time, ok bool) {
@@ -302,22 +307,6 @@ func (l *Log) ByNode() map[string]int {
 		}
 	}
 	return out
-}
-
-// GPUFailures returns the sub-log of records whose category involves GPU
-// cards.
-func (l *Log) GPUFailures() *Log {
-	return l.Filter(func(f Failure) bool { return f.Category.GPURelated() })
-}
-
-// SoftwareFailures returns the sub-log of software-category records.
-func (l *Log) SoftwareFailures() *Log {
-	return l.Filter(func(f Failure) bool { return f.Software() })
-}
-
-// HardwareFailures returns the sub-log of hardware-category records.
-func (l *Log) HardwareFailures() *Log {
-	return l.Filter(func(f Failure) bool { return f.Hardware() })
 }
 
 // InterarrivalHours returns the time between consecutive failures in

@@ -112,10 +112,10 @@ func TestLogFilterAndGroups(t *testing.T) {
 	if got := log.ByNode(); got["n0001"] != 2 || got["n0002"] != 1 {
 		t.Errorf("ByNode = %v", got)
 	}
-	if log.GPUFailures().Len() != 3 {
-		t.Error("GPUFailures should keep GPU-related records")
+	if log.Filter(func(f Failure) bool { return f.Category.GPURelated() }).Len() != 3 {
+		t.Error("GPU-related filter should keep GPU-related records")
 	}
-	if log.SoftwareFailures().Len() != 1 || log.HardwareFailures().Len() != 3 {
+	if log.Filter(Failure.Software).Len() != 1 || log.Filter(Failure.Hardware).Len() != 3 {
 		t.Error("software/hardware split wrong")
 	}
 }

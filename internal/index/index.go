@@ -1,15 +1,16 @@
 // Package index is the analysis engine's memoized read substrate: an
 // immutable, lazily-built view over one failures.Log, constructed once
-// per core.Run (and once per log in CompareParallel) and shared by every
+// per core.Run (and once per log in core.Compare) and shared by every
 // analysis phase.
 //
 // Before the index, each of the ~15 phases of the battery independently
 // re-copied the record slice (failures.Log.Records clones defensively),
 // re-filtered the same per-category sub-logs, re-derived the same
 // inter-arrival and recovery series, and re-sorted the same samples —
-// stats.Quantile, stats.Summarize, and stats.NewECDF each clone-and-sort
-// per call. On a 100k-record log that redundancy dominates the battery's
-// wall clock. The index computes each of these facets exactly once:
+// the unsorted quantile, summary and ECDF entry points each cloned and
+// sorted per call. On a 100k-record log that redundancy dominates the
+// battery's wall clock. The index computes each of these facets exactly
+// once:
 //
 //   - one shared chronological record slice (no per-phase clone),
 //   - per-category and per-month partitions in one pass each,
@@ -168,16 +169,8 @@ func (v *View) buildNodes() {
 	})
 }
 
-// CategoryRecords returns the chronological records of one category
-// (shared slice, read-only; nil for an absent category).
-func (v *View) CategoryRecords(cat failures.Category) []failures.Failure {
-	v.buildPartitions()
-	return v.catRecords.At(cat)
-}
-
 // GPURecords returns the chronological sub-slice of records whose
-// category involves GPU cards — the memoized form of
-// failures.Log.GPUFailures (shared, read-only).
+// category involves GPU cards (shared, read-only).
 func (v *View) GPURecords() []failures.Failure {
 	v.buildPartitions()
 	return v.gpuRecords
@@ -303,14 +296,6 @@ func (v *View) buildCategorySorted() {
 	})
 }
 
-// MonthlyRecoveryHours returns recovery hours grouped by calendar month
-// across years, each month's series in chronological order (shared,
-// read-only). Months without failures are absent.
-func (v *View) MonthlyRecoveryHours() map[time.Month][]float64 {
-	v.buildMonthly()
-	return v.monthlyRecov
-}
-
 // SortedMonthlyRecoveryHours returns the ascending-sorted per-month
 // recovery arenas (shared, read-only).
 func (v *View) SortedMonthlyRecoveryHours() map[time.Month][]float64 {
@@ -358,20 +343,6 @@ func (v *View) buildMonthly() {
 		}
 		v.monthlyRecov, v.monthlySorted, v.monthlyCounts = recov, sorted, counts
 	})
-}
-
-// HardwareRecoveryHours returns recovery hours of hardware-category
-// records in chronological order (shared, read-only).
-func (v *View) HardwareRecoveryHours() []float64 {
-	v.buildHWSW()
-	return v.hwRecovery
-}
-
-// SoftwareRecoveryHours returns recovery hours of software-category
-// records in chronological order (shared, read-only).
-func (v *View) SoftwareRecoveryHours() []float64 {
-	v.buildHWSW()
-	return v.swRecovery
 }
 
 func (v *View) buildHWSW() {

@@ -52,13 +52,13 @@ func TestFacetsMatchLog(t *testing.T) {
 	if !reflect.DeepEqual(ix.RecoveryHours(), log.RecoveryHours()) {
 		t.Error("RecoveryHours facet diverges")
 	}
-	if !reflect.DeepEqual(ix.GPURecords(), log.GPUFailures().Records()) {
+	if !reflect.DeepEqual(ix.GPURecords(), log.Filter(func(f failures.Failure) bool { return f.Category.GPURelated() }).Records()) {
 		t.Error("GPURecords facet diverges")
 	}
-	if !reflect.DeepEqual(ix.HardwareRecoveryHours(), log.HardwareFailures().RecoveryHours()) {
+	if !reflect.DeepEqual(ix.HardwareRecoveryHours(), log.Filter(failures.Failure.Hardware).RecoveryHours()) {
 		t.Error("HardwareRecoveryHours facet diverges")
 	}
-	if !reflect.DeepEqual(ix.SoftwareRecoveryHours(), log.SoftwareFailures().RecoveryHours()) {
+	if !reflect.DeepEqual(ix.SoftwareRecoveryHours(), log.Filter(failures.Failure.Software).RecoveryHours()) {
 		t.Error("SoftwareRecoveryHours facet diverges")
 	}
 

@@ -90,12 +90,6 @@ func (e *Epoch) View() *View { return e.view }
 // epoch.
 func (e *Epoch) Evicted() int { return e.evicted }
 
-// NewStore returns an empty store for one system's failure stream with
-// no retention bounds.
-func NewStore(system failures.System) (*Store, error) {
-	return NewStoreWithOptions(system, StoreOptions{})
-}
-
 // NewStoreWithOptions returns an empty store with retention bounds.
 func NewStoreWithOptions(system failures.System, opts StoreOptions) (*Store, error) {
 	if opts.MaxRecords < 0 {

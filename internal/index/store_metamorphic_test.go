@@ -196,7 +196,7 @@ func TestStoreMetamorphicBatchSplits(t *testing.T) {
 	for splitName, batches := range splitPatterns(recs) {
 		for touchName, touch := range facetTouchers {
 			t.Run(splitName+"/"+touchName, func(t *testing.T) {
-				store, err := index.NewStore(failures.Tsubame2)
+				store, err := index.NewStoreWithOptions(failures.Tsubame2, index.StoreOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -296,7 +296,7 @@ func TestStoreMetamorphicWithRetention(t *testing.T) {
 func TestStoreFailedAppendCostIndependentOfResidentSize(t *testing.T) {
 	recs := storeRecords(t, 800)
 	seed := func(n int) *index.Store {
-		store, err := index.NewStore(failures.Tsubame2)
+		store, err := index.NewStoreWithOptions(failures.Tsubame2, index.StoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,7 @@ func storeRecords(t testing.TB, n int) []failures.Failure {
 // the ingested prefix would have produced.
 func TestStoreSnapshotEquivalentToBatchIndex(t *testing.T) {
 	recs := storeRecords(t, 120)
-	store, err := index.NewStore(failures.Tsubame2)
+	store, err := index.NewStoreWithOptions(failures.Tsubame2, index.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestStoreSnapshotEquivalentToBatchIndex(t *testing.T) {
 // rejected batch publishes nothing and leaves the committed tail intact.
 func TestStoreAppendErrorLeavesEpochUnchanged(t *testing.T) {
 	recs := storeRecords(t, 3)
-	store, err := index.NewStore(failures.Tsubame2)
+	store, err := index.NewStoreWithOptions(failures.Tsubame2, index.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestStoreAppendErrorLeavesEpochUnchanged(t *testing.T) {
 // no-op returning the current epoch (the serve ingest endpoint forwards
 // empty bodies here).
 func TestStoreEmptyAppendDoesNotAdvance(t *testing.T) {
-	store, err := index.NewStore(failures.Tsubame2)
+	store, err := index.NewStoreWithOptions(failures.Tsubame2, index.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestStoreEmptyAppendDoesNotAdvance(t *testing.T) {
 // never shrinks across successive reads.
 func TestStoreConcurrentIngestAndReads(t *testing.T) {
 	recs := storeRecords(t, 400)
-	store, err := index.NewStore(failures.Tsubame2)
+	store, err := index.NewStoreWithOptions(failures.Tsubame2, index.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestStoreConcurrentCategorySeriesCarry(t *testing.T) {
 		iters = 25
 	}
 	for i := 0; i < iters; i++ {
-		store, err := index.NewStore(failures.Tsubame2)
+		store, err := index.NewStoreWithOptions(failures.Tsubame2, index.StoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,9 +31,6 @@ var enabled atomic.Bool
 // state. Disabling does not clear already-recorded data; Reset does.
 func Enable(on bool) (was bool) { return enabled.Swap(on) }
 
-// Enabled reports whether collection is currently on.
-func Enabled() bool { return enabled.Load() }
-
 // spanStat accumulates one named span's observations. Fields are updated
 // with atomics so concurrent spans (the parallel pool, simulation trials)
 // never contend on more than the registry read-lock.
@@ -122,15 +119,6 @@ func (s Span) End() {
 	spanFor(s.name).observe(time.Since(s.start))
 }
 
-// Observe records an externally measured duration under a span name, for
-// call sites that cannot bracket the region with StartSpan/End.
-func Observe(name string, d time.Duration) {
-	if !enabled.Load() {
-		return
-	}
-	spanFor(name).observe(d)
-}
-
 // Add increments the named counter by delta.
 func Add(name string, delta int64) {
 	if !enabled.Load() {
@@ -216,15 +204,4 @@ func Take() Snapshot {
 		}
 	}
 	return snap
-}
-
-// SpanByName returns the named span's aggregate from a snapshot, with ok
-// false when the span never fired.
-func (s Snapshot) SpanByName(name string) (SpanTiming, bool) {
-	for _, sp := range s.Spans {
-		if sp.Name == name {
-			return sp, true
-		}
-	}
-	return SpanTiming{}, false
 }

@@ -31,7 +31,6 @@ func TestSpanDisabledIsInert(t *testing.T) {
 	StartSpan("never").End()
 	Add("never", 1)
 	SetGauge("never", 1)
-	Observe("never", time.Second)
 	snap := Take()
 	if len(snap.Spans) != 0 || len(snap.Counters) != 0 || len(snap.Gauges) != 0 {
 		t.Fatalf("disabled collection recorded data: %+v", snap)
@@ -67,8 +66,8 @@ func TestCountersGaugesAndOrdering(t *testing.T) {
 		Add("items", 4)
 		SetGauge("width", 8)
 		SetGauge("width", 4)
-		Observe("b/span", time.Millisecond)
-		Observe("a/span", time.Millisecond)
+		StartSpan("b/span").End()
+		StartSpan("a/span").End()
 		snap := Take()
 		if snap.Counters["items"] != 7 {
 			t.Errorf("counter = %d, want 7", snap.Counters["items"])
@@ -207,4 +206,18 @@ func TestServeDebugEndpoints(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
+}
+
+// Enabled reports whether collection is currently on.
+func Enabled() bool { return enabled.Load() }
+
+// SpanByName returns the named span's aggregate from a snapshot, with ok
+// false when the span never fired.
+func (s Snapshot) SpanByName(name string) (SpanTiming, bool) {
+	for _, sp := range s.Spans {
+		if sp.Name == name {
+			return sp, true
+		}
+	}
+	return SpanTiming{}, false
 }

@@ -74,8 +74,3 @@ func (e *EWMARate) ExpectedWithin(cat failures.Category, horizon float64) float6
 	}
 	return e.RatePerHour(cat) * horizon
 }
-
-// Observations returns how many failures of cat have been seen.
-func (e *EWMARate) Observations(cat failures.Category) int {
-	return e.state.At(cat).observed
-}

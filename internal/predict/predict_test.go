@@ -259,3 +259,8 @@ func TestEvaluateIntervalsErrors(t *testing.T) {
 		t.Error("short log should fail")
 	}
 }
+
+// Observations returns how many failures of cat the estimator has seen.
+func (e *EWMARate) Observations(cat failures.Category) int {
+	return e.state.At(cat).observed
+}

@@ -187,9 +187,6 @@ type StepFailures struct {
 	Verify  int `json:"verify"`
 }
 
-// Total is the failed attempts across all steps.
-func (s StepFailures) Total() int { return s.Reset + s.Replace + s.Verify }
-
 // CategoryStats aggregates one category's remediation outcomes.
 type CategoryStats struct {
 	Failures     int `json:"failures"`
@@ -706,10 +703,4 @@ func (r *run) handleVerifyDone(n int32) {
 		r.free++
 		r.dispatchCrews()
 	}
-}
-
-// SortedCategories returns the result's categories in lexical order, the
-// deterministic iteration order for reports.
-func (res *Result) SortedCategories() []failures.Category {
-	return failures.SortedCategories(res.PerCategory)
 }

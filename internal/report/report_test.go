@@ -89,7 +89,7 @@ func TestBarChart(t *testing.T) {
 }
 
 func TestCDFPlot(t *testing.T) {
-	cdf, err := stats.NewECDF([]float64{1, 2, 3, 4, 5, 10, 50})
+	cdf, err := stats.NewECDFSorted([]float64{1, 2, 3, 4, 5, 10, 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestCDFPlot(t *testing.T) {
 }
 
 func TestBoxPlot(t *testing.T) {
-	s1, err := stats.Summarize([]float64{1, 2, 3, 4, 100})
+	s1, err := stats.SummarizeSorted([]float64{1, 2, 3, 4, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := stats.Summarize([]float64{50, 60, 70})
+	s2, err := stats.SummarizeSorted([]float64{50, 60, 70})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,9 +82,6 @@ func (f *Fenwick) N() int { return len(f.weights) }
 // Total returns the sum of the remaining weights.
 func (f *Fenwick) Total() float64 { return f.total }
 
-// Weight returns the current weight of index i (0 once removed).
-func (f *Fenwick) Weight(i int) float64 { return f.weights[i] }
-
 // Draw samples one index with probability proportional to its current
 // weight, consuming exactly one uniform variate. It does not remove the
 // index; Remove does, and Take combines both.

@@ -199,9 +199,6 @@ type Result struct {
 	GPUCardHoursLost float64
 }
 
-// interval is a node-down span used for downtime union accounting.
-type interval struct{ start, end float64 }
-
 // repairTask is one queued repair, pooled in the run's ring buffer. The
 // victim set is a contiguous node range (one node, or a whole rack), so
 // a (first, count) pair replaces the per-failure victim slice the old
@@ -245,8 +242,8 @@ func (st *procState) drawInvolvement() int32 {
 // one open interval per node: O(nodes) memory for a fleet-scale decade
 // trial instead of O(failures) interval records. The flush arithmetic
 // (clip, subtract, accumulate per node, then sum in node order) repeats
-// the retired mergeSpans/unionLength pipeline operation for operation,
-// keeping results byte-identical.
+// the sort-and-merge union it replaced operation for operation, keeping
+// results byte-identical.
 type downTracker struct {
 	curStart []float64
 	curEnd   []float64 // -1 marks "no open interval"
@@ -313,8 +310,7 @@ func (d *downTracker) flush(node int32) {
 }
 
 // total flushes every open interval and sums the per-node losses in node
-// order (the summation order of the per-node unionLength loop it
-// replaced).
+// order (the summation order of the per-node union loop it replaced).
 func (d *downTracker) total() float64 {
 	for node := range d.curEnd {
 		if d.curEnd[node] >= 0 {
@@ -527,48 +523,6 @@ func PickVictims(proc *FailureProcess, nodes, nodesPerRack int, rng *rand.Rand) 
 		hi = nodes
 	}
 	return int32(lo), int32(hi - lo)
-}
-
-// mergeSpans returns the sorted union of spans as disjoint intervals.
-// The run loop now unions incrementally (downTracker); this remains the
-// reference implementation for tests and offline span sets.
-func mergeSpans(spans []interval) []interval {
-	if len(spans) == 0 {
-		return nil
-	}
-	sorted := append([]interval(nil), spans...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].start < sorted[j].start })
-	merged := []interval{sorted[0]}
-	for _, sp := range sorted[1:] {
-		last := &merged[len(merged)-1]
-		if sp.start <= last.end {
-			if sp.end > last.end {
-				last.end = sp.end
-			}
-			continue
-		}
-		merged = append(merged, sp)
-	}
-	return merged
-}
-
-// unionLength returns the total length of the union of spans, clipped to
-// [0, horizon].
-func unionLength(spans []interval, horizon float64) float64 {
-	var total float64
-	for _, sp := range mergeSpans(spans) {
-		s, e := sp.start, sp.end
-		if s < 0 {
-			s = 0
-		}
-		if e > horizon {
-			e = horizon
-		}
-		if e > s {
-			total += e - s
-		}
-	}
-	return total
 }
 
 // sampleNodesDown converts merged node-down span edges into a nodes-down

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/dist"
@@ -549,19 +550,38 @@ func TestAvailabilitySeriesOffByDefault(t *testing.T) {
 	}
 }
 
+// interval is a node-down span [start, end).
+type interval struct{ start, end float64 }
+
+// trackDown feeds spans to a one-node downTracker in start order, the
+// order FIFO repair dispatch guarantees.
+func trackDown(spans []interval, horizon float64) *downTracker {
+	sorted := append([]interval(nil), spans...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].start < sorted[j].start })
+	d := newDownTracker(1, horizon, true)
+	for _, sp := range sorted {
+		d.add(0, sp.start, sp.end)
+	}
+	return d
+}
+
+// TestMergeSpans: the tracker emits the sorted union of the spans as
+// disjoint intervals, one +1/-1 edge pair per merged interval.
 func TestMergeSpans(t *testing.T) {
-	merged := mergeSpans([]interval{{5, 10}, {0, 3}, {9, 12}, {20, 25}})
-	want := []interval{{0, 3}, {5, 12}, {20, 25}}
-	if len(merged) != len(want) {
-		t.Fatalf("merged = %v, want %v", merged, want)
+	d := trackDown([]interval{{5, 10}, {0, 3}, {9, 12}, {20, 25}}, 100)
+	d.total()
+	want := []downEdge{{0, +1}, {3, -1}, {5, +1}, {12, -1}, {20, +1}, {25, -1}}
+	if len(d.edges) != len(want) {
+		t.Fatalf("edges = %v, want %v", d.edges, want)
 	}
 	for i := range want {
-		if merged[i] != want[i] {
-			t.Fatalf("merged = %v, want %v", merged, want)
+		if d.edges[i] != want[i] {
+			t.Fatalf("edges = %v, want %v", d.edges, want)
 		}
 	}
-	if mergeSpans(nil) != nil {
-		t.Error("empty merge should be nil")
+	d = trackDown(nil, 100)
+	if d.total() != 0 || d.edges != nil {
+		t.Error("empty union should emit nothing")
 	}
 }
 

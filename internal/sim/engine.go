@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -22,12 +21,8 @@ import (
 // payload is an index into run-owned state (a process index), not a
 // captured closure.
 const (
-	// evClosure events carry an index into the engine's action table;
-	// they back the closure-based Schedule API used by tests and
-	// low-rate callers. The hot path schedules typed kinds instead.
-	evClosure int32 = iota
 	// evArrival is a failure arrival; arg is the failure-process index.
-	evArrival
+	evArrival int32 = iota
 	// evRepairDone is a repair completion freeing its crew; arg is
 	// unused.
 	evRepairDone
@@ -78,8 +73,7 @@ type Engine struct {
 	seq uint64
 
 	// handler dispatches typed events; set once per run by the caller
-	// (nil-safe: typed events without a handler are dropped, which only
-	// happens in tests that never schedule typed kinds).
+	// (nil-safe: events without a handler are dropped).
 	handler func(kind, arg int32)
 
 	buckets  [][]eventRec // near tier: nb buckets of width hours each
@@ -88,11 +82,6 @@ type Engine struct {
 	cur      int          // current (lowest non-drained) bucket index
 	far      []eventRec   // overflow tier: events at/after the window end
 	size     int          // total queued events, both tiers
-
-	// actions backs the closure Schedule API; free lists recycle slots
-	// so long closure-driven runs stay bounded.
-	actions     []func()
-	freeActions []int32
 }
 
 // Now returns the current simulation time in hours.
@@ -117,27 +106,6 @@ func (e *Engine) ScheduleEvent(delay float64, kind, arg int32) {
 	e.seq++
 }
 
-// Schedule runs action after delay hours, implemented as an evClosure
-// event whose payload indexes a recycled action table. Kept for
-// callers and tests off the hot path; the simulation run loop schedules
-// typed events instead.
-func (e *Engine) Schedule(delay float64, action func()) error {
-	if action == nil {
-		return fmt.Errorf("sim: cannot schedule a nil action")
-	}
-	var slot int32
-	if n := len(e.freeActions); n > 0 {
-		slot = e.freeActions[n-1]
-		e.freeActions = e.freeActions[:n-1]
-		e.actions[slot] = action
-	} else {
-		slot = int32(len(e.actions))
-		e.actions = append(e.actions, action)
-	}
-	e.ScheduleEvent(delay, evClosure, slot)
-	return nil
-}
-
 // Run processes events until the queue drains or the clock passes until.
 // Events scheduled exactly at until still run.
 func (e *Engine) Run(until float64) {
@@ -147,23 +115,12 @@ func (e *Engine) Run(until float64) {
 			break
 		}
 		e.now = rec.time
-		e.dispatch(rec)
+		if e.handler != nil {
+			e.handler(rec.kind, rec.arg)
+		}
 	}
 	if e.now < until {
 		e.now = until
-	}
-}
-
-func (e *Engine) dispatch(rec eventRec) {
-	if rec.kind == evClosure {
-		action := e.actions[rec.arg]
-		e.actions[rec.arg] = nil
-		e.freeActions = append(e.freeActions, rec.arg)
-		action()
-		return
-	}
-	if e.handler != nil {
-		e.handler(rec.kind, rec.arg)
 	}
 }
 

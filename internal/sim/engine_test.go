@@ -4,23 +4,25 @@ import (
 	"testing"
 )
 
-func TestEngineRunsInTimeOrder(t *testing.T) {
+// record returns an engine whose handler appends each event's arg to
+// the returned slice, in dispatch order.
+func record() (*Engine, *[]int32) {
 	eng := &Engine{}
-	var order []int
-	must := func(delay float64, id int) {
-		t.Helper()
-		if err := eng.Schedule(delay, func() { order = append(order, id) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(5, 1)
-	must(1, 2)
-	must(3, 3)
+	var order []int32
+	eng.SetHandler(func(_, arg int32) { order = append(order, arg) })
+	return eng, &order
+}
+
+func TestEngineRunsInTimeOrder(t *testing.T) {
+	eng, order := record()
+	eng.ScheduleEvent(5, evArrival, 1)
+	eng.ScheduleEvent(1, evArrival, 2)
+	eng.ScheduleEvent(3, evArrival, 3)
 	eng.Run(10)
-	want := []int{2, 3, 1}
+	want := []int32{2, 3, 1}
 	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
+		if (*order)[i] != want[i] {
+			t.Fatalf("order = %v, want %v", *order, want)
 		}
 	}
 	if eng.Now() != 10 {
@@ -29,30 +31,23 @@ func TestEngineRunsInTimeOrder(t *testing.T) {
 }
 
 func TestEngineTieBreakBySchedulingOrder(t *testing.T) {
-	eng := &Engine{}
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		if err := eng.Schedule(2, func() { order = append(order, i) }); err != nil {
-			t.Fatal(err)
-		}
+	eng, order := record()
+	for i := int32(0); i < 5; i++ {
+		eng.ScheduleEvent(2, evArrival, i)
 	}
 	eng.Run(10)
-	for i := 0; i < 5; i++ {
-		if order[i] != i {
-			t.Fatalf("tie order = %v, want scheduling order", order)
+	for i := int32(0); i < 5; i++ {
+		if (*order)[i] != i {
+			t.Fatalf("tie order = %v, want scheduling order", *order)
 		}
 	}
 }
 
 func TestEngineHorizonStopsEvents(t *testing.T) {
-	eng := &Engine{}
-	fired := false
-	if err := eng.Schedule(100, func() { fired = true }); err != nil {
-		t.Fatal(err)
-	}
+	eng, order := record()
+	eng.ScheduleEvent(100, evArrival, 0)
 	eng.Run(50)
-	if fired {
+	if len(*order) != 0 {
 		t.Error("event past horizon fired")
 	}
 	if eng.Pending() != 1 {
@@ -60,19 +55,16 @@ func TestEngineHorizonStopsEvents(t *testing.T) {
 	}
 	// A later Run picks it up.
 	eng.Run(150)
-	if !fired {
+	if len(*order) != 1 {
 		t.Error("event did not fire on the extended run")
 	}
 }
 
 func TestEngineEventAtExactHorizonFires(t *testing.T) {
-	eng := &Engine{}
-	fired := false
-	if err := eng.Schedule(50, func() { fired = true }); err != nil {
-		t.Fatal(err)
-	}
+	eng, order := record()
+	eng.ScheduleEvent(50, evArrival, 0)
 	eng.Run(50)
-	if !fired {
+	if len(*order) != 1 {
 		t.Error("event at exactly the horizon should fire")
 	}
 }
@@ -80,18 +72,13 @@ func TestEngineEventAtExactHorizonFires(t *testing.T) {
 func TestEngineCascadingEvents(t *testing.T) {
 	eng := &Engine{}
 	count := 0
-	var tick func()
-	tick = func() {
+	eng.SetHandler(func(kind, arg int32) {
 		count++
 		if count < 10 {
-			if err := eng.Schedule(1, tick); err != nil {
-				t.Fatal(err)
-			}
+			eng.ScheduleEvent(1, kind, arg)
 		}
-	}
-	if err := eng.Schedule(1, tick); err != nil {
-		t.Fatal(err)
-	}
+	})
+	eng.ScheduleEvent(1, evArrival, 0)
 	eng.Run(100)
 	if count != 10 {
 		t.Errorf("cascade count = %d, want 10", count)
@@ -104,23 +91,28 @@ func TestEngineCascadingEvents(t *testing.T) {
 func TestEngineNegativeDelayClamps(t *testing.T) {
 	eng := &Engine{}
 	var at float64 = -1
-	if err := eng.Schedule(5, func() {
-		if err := eng.Schedule(-10, func() { at = eng.Now() }); err != nil {
-			t.Fatal(err)
+	eng.SetHandler(func(kind, arg int32) {
+		if arg == 0 {
+			eng.ScheduleEvent(-10, kind, 1)
+			return
 		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+		at = eng.Now()
+	})
+	eng.ScheduleEvent(5, evArrival, 0)
 	eng.Run(20)
 	if at != 5 {
 		t.Errorf("negative-delay event ran at %v, want 5 (now)", at)
 	}
 }
 
+// TestEngineNilAction: an engine without a handler drops typed events
+// instead of panicking, and still drains its queue.
 func TestEngineNilAction(t *testing.T) {
 	eng := &Engine{}
-	if err := eng.Schedule(1, nil); err == nil {
-		t.Error("nil action should be rejected")
+	eng.ScheduleEvent(1, evArrival, 0)
+	eng.Run(10)
+	if eng.Pending() != 0 {
+		t.Errorf("Pending = %d, want 0", eng.Pending())
 	}
 }
 
@@ -143,8 +135,8 @@ func TestUnionLength(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := unionLength(tt.spans, tt.horizon); got != tt.want {
-				t.Errorf("unionLength = %v, want %v", got, tt.want)
+			if got := trackDown(tt.spans, tt.horizon).total(); got != tt.want {
+				t.Errorf("union length = %v, want %v", got, tt.want)
 			}
 		})
 	}

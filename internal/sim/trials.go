@@ -46,74 +46,6 @@ func RunTrials(ctx context.Context, cfg Config, seeds []int64, parallelism int, 
 	})
 }
 
-// RunTrialStats runs one simulation per seed like RunTrials but keeps
-// only a fixed-size aggregate per trial instead of retaining every
-// *Result: at fleet scale (100k nodes, decade horizons, thousands of
-// seeds) the per-trial Series and PerCategory maps dominate memory, and
-// a sweep cell only needs the across-trial statistics. Memory is
-// bounded by O(seeds) small structs regardless of cluster size or
-// horizon, and the returned stats are byte-identical to
-// SummarizeTrials over the corresponding RunTrials results.
-func RunTrialStats(ctx context.Context, cfg Config, seeds []int64, parallelism int, parts func() (PartsPolicy, error)) (TrialStats, error) {
-	if len(seeds) == 0 {
-		return TrialStats{}, fmt.Errorf("sim: RunTrialStats needs at least one seed")
-	}
-	cfg.SampleEveryHours = 0 // series are dropped anyway; don't build them
-	type agg struct {
-		availability, nodeHoursLost, repairWait float64
-		failures                                int
-	}
-	aggs := make([]agg, len(seeds))
-	err := parallel.ForEach(ctx, parallelism, seeds, func(_ context.Context, i int, seed int64) error {
-		defer obs.StartSpan("sim/trial").End()
-		trial := cfg
-		trial.Seed = seed
-		trial.Parts = nil
-		if parts != nil {
-			p, err := parts()
-			if err != nil {
-				return fmt.Errorf("sim: trial %d parts policy: %w", i, err)
-			}
-			trial.Parts = p
-		}
-		res, err := Run(trial)
-		if err != nil {
-			return fmt.Errorf("sim: trial %d (seed %d): %w", i, seeds[i], err)
-		}
-		aggs[i] = agg{res.Availability, res.NodeHoursLost, res.MeanRepairWait, res.Failures}
-		return nil
-	})
-	if err != nil {
-		return TrialStats{}, err
-	}
-	st := TrialStats{
-		Trials:          len(seeds),
-		MinAvailability: math.Inf(1),
-		MaxAvailability: math.Inf(-1),
-	}
-	for _, a := range aggs {
-		st.MeanAvailability += a.availability
-		st.MeanNodeHoursLost += a.nodeHoursLost
-		st.MeanRepairWait += a.repairWait
-		st.TotalFailures += a.failures
-		st.MinAvailability = math.Min(st.MinAvailability, a.availability)
-		st.MaxAvailability = math.Max(st.MaxAvailability, a.availability)
-	}
-	n := float64(len(seeds))
-	st.MeanAvailability /= n
-	st.MeanNodeHoursLost /= n
-	st.MeanRepairWait /= n
-	if len(seeds) > 1 {
-		var ss float64
-		for _, a := range aggs {
-			d := a.availability - st.MeanAvailability
-			ss += d * d
-		}
-		st.AvailabilityStd = math.Sqrt(ss / (n - 1))
-	}
-	return st, nil
-}
-
 // TrialStats aggregates a multi-trial run into the headline operational
 // numbers with their across-trial spread.
 type TrialStats struct {

@@ -204,11 +204,3 @@ func (p *Predictive) topUp(cat failures.Category, now float64) {
 		s.order(now + p.LeadTimeHours)
 	}
 }
-
-// StockLevel reports the current shelf stock of a category (for tests and
-// reporting).
-func (p *Predictive) StockLevel(cat failures.Category, now float64) int {
-	s := p.storeFor(cat)
-	s.sync(now)
-	return s.stock
-}

@@ -201,3 +201,10 @@ func TestPredictiveStagesForRareCategories(t *testing.T) {
 		}
 	}
 }
+
+// StockLevel reports the current shelf stock of a category.
+func (p *Predictive) StockLevel(cat failures.Category, now float64) int {
+	s := p.storeFor(cat)
+	s.sync(now)
+	return s.stock
+}

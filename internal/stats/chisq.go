@@ -64,25 +64,10 @@ func ChiSquareSurvival(x, df float64) float64 {
 	return RegularizedGammaQ(df/2, x/2)
 }
 
-// RegularizedGammaP returns the lower regularized incomplete gamma function
-// P(a, x) = gamma(a, x)/Gamma(a), computed by series expansion for
-// x < a+1 and via the continued fraction for larger x (Numerical Recipes
-// 6.2). NaN is returned for a <= 0 or x < 0.
-func RegularizedGammaP(a, x float64) float64 {
-	switch {
-	case a <= 0 || x < 0 || math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case x == 0:
-		return 0
-	case x < a+1:
-		return gammaPSeries(a, x)
-	default:
-		return 1 - gammaQContinuedFraction(a, x)
-	}
-}
-
 // RegularizedGammaQ returns the upper regularized incomplete gamma function
-// Q(a, x) = 1 - P(a, x).
+// Q(a, x) = Gamma(a, x)/Gamma(a) = 1 - P(a, x), computed from the series
+// expansion of P for x < a+1 and by the continued fraction for larger x
+// (Numerical Recipes 6.2). NaN is returned for a <= 0 or x < 0.
 func RegularizedGammaQ(a, x float64) float64 {
 	switch {
 	case a <= 0 || x < 0 || math.IsNaN(a) || math.IsNaN(x):

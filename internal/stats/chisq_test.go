@@ -84,35 +84,25 @@ func TestChiSquareSurvivalKnownValues(t *testing.T) {
 }
 
 func TestRegularizedGamma(t *testing.T) {
-	// P(1, x) = 1 - exp(-x).
+	// Q(1, x) = exp(-x).
 	for _, x := range []float64{0.1, 0.5, 1, 2, 5, 10} {
-		want := 1 - math.Exp(-x)
-		if got := RegularizedGammaP(1, x); !almostEqual(got, want, 1e-10) {
-			t.Errorf("P(1, %v) = %v, want %v", x, got, want)
-		}
-	}
-	// P + Q = 1.
-	for _, a := range []float64{0.5, 1.5, 3, 10} {
-		for _, x := range []float64{0.2, 1, 4, 20} {
-			p := RegularizedGammaP(a, x)
-			q := RegularizedGammaQ(a, x)
-			if !almostEqual(p+q, 1, 1e-10) {
-				t.Errorf("P+Q at (%v, %v) = %v, want 1", a, x, p+q)
-			}
+		want := math.Exp(-x)
+		if got := RegularizedGammaQ(1, x); !almostEqual(got, want, 1e-10) {
+			t.Errorf("Q(1, %v) = %v, want %v", x, got, want)
 		}
 	}
 	// Edge cases.
-	if RegularizedGammaP(1, 0) != 0 || RegularizedGammaQ(1, 0) != 1 {
+	if RegularizedGammaQ(1, 0) != 1 {
 		t.Error("x=0 edge case wrong")
 	}
-	if !math.IsNaN(RegularizedGammaP(-1, 1)) || !math.IsNaN(RegularizedGammaP(1, -1)) {
+	if !math.IsNaN(RegularizedGammaQ(-1, 1)) || !math.IsNaN(RegularizedGammaQ(1, -1)) {
 		t.Error("invalid arguments should give NaN")
 	}
-	// Half-integer check: P(0.5, x) = erf(sqrt(x)).
+	// Half-integer check: Q(0.5, x) = erfc(sqrt(x)).
 	for _, x := range []float64{0.25, 1, 4} {
-		want := math.Erf(math.Sqrt(x))
-		if got := RegularizedGammaP(0.5, x); !almostEqual(got, want, 1e-10) {
-			t.Errorf("P(0.5, %v) = %v, want %v", x, got, want)
+		want := math.Erfc(math.Sqrt(x))
+		if got := RegularizedGammaQ(0.5, x); !almostEqual(got, want, 1e-10) {
+			t.Errorf("Q(0.5, %v) = %v, want %v", x, got, want)
 		}
 	}
 }

@@ -146,29 +146,14 @@ func quantileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Quantiles returns the quantiles of xs at each probability in ps, sorting
-// the sample only once. Invalid probabilities yield NaN entries; a sample
-// that is empty or contains NaN yields all-NaN output.
-func Quantiles(xs []float64, ps []float64) []float64 {
-	if len(xs) == 0 || hasNaN(xs) {
-		out := make([]float64, len(ps))
-		for i := range out {
-			out[i] = math.NaN()
-		}
-		return out
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantilesInto(make([]float64, len(ps)), sorted, ps)
-}
-
-// QuantilesSorted is Quantiles on an already-sorted, ascending sample: no
-// copy and no sort, so the only allocation is the output slice. The
+// QuantilesSorted returns the quantiles of an already-sorted, ascending
+// sample at each probability in ps: no copy and no sort, so the only
+// allocation is the output slice. Invalid probabilities yield NaN
+// entries. The
 // single-sort contract of the analysis hot path (docs/PERFORMANCE.md)
 // rests on this entry point: sort once — or take the index's sorted
 // arena — then read every percentile from the same order statistics.
-// A sample that is empty or contains NaN yields all-NaN output, matching
-// Quantiles' poison semantics.
+// A sample that is empty or contains NaN yields all-NaN output.
 func QuantilesSorted(sorted []float64, ps []float64) []float64 {
 	out := make([]float64, len(ps))
 	if len(sorted) == 0 || hasNaN(sorted) {
@@ -216,29 +201,13 @@ func (s Summary) WhiskerLow() float64 { return math.Max(s.Min, s.Q1-1.5*s.IQR())
 // WhiskerHigh returns the Tukey upper whisker bound min(Max, Q3+1.5*IQR).
 func (s Summary) WhiskerHigh() float64 { return math.Min(s.Max, s.Q3+1.5*s.IQR()) }
 
-// Summarize computes a Summary of xs. It returns ErrEmpty if xs is empty.
-// A sample containing NaN yields a Summary with N set and every statistic
-// NaN: the order statistics of such a sample are undefined, and returning
-// NaN keeps the poison visible instead of reporting a quietly shifted
-// five-number summary.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	if hasNaN(xs) {
-		return nanSummary(len(xs)), nil
-	}
-	// One clone, one sort: every order statistic and both moments read
-	// the same sorted buffer (the AllocsPerRun regression test pins the
-	// single-allocation budget).
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return summarizeSorted(sorted), nil
-}
-
-// SummarizeSorted is Summarize on an already-sorted, ascending sample:
-// zero allocations and zero sorts, for callers that hold a sorted arena
-// (the per-Run analysis index). NaN poison semantics match Summarize.
+// SummarizeSorted computes the Summary of an already-sorted, ascending
+// sample: zero allocations and zero sorts, for callers that hold a sorted
+// arena (the per-Run analysis index). It returns ErrEmpty if the sample
+// is empty. A sample containing NaN yields a Summary with N set and
+// every statistic NaN: the order statistics of such a sample are
+// undefined, and returning NaN keeps the poison visible instead of
+// reporting a quietly shifted five-number summary.
 func SummarizeSorted(sorted []float64) (Summary, error) {
 	if len(sorted) == 0 {
 		return Summary{}, ErrEmpty
@@ -258,9 +227,8 @@ func nanSummary(n int) Summary {
 	}
 }
 
-// summarizeSorted computes the Summary of a sorted, NaN-free sample. The
-// moments are computed over the sorted order so Summarize keeps producing
-// bit-identical results whether the caller pre-sorted or not.
+// summarizeSorted computes the Summary of a sorted, NaN-free sample; the
+// moments are computed over the sorted order.
 func summarizeSorted(sorted []float64) Summary {
 	s := Summary{
 		N:      len(sorted),

@@ -8,20 +8,9 @@ import (
 
 // ECDF is an empirical cumulative distribution function built from a
 // sample. It backs the cumulative TBF/TTR plots (Figures 6 and 9 of the
-// paper). The zero value is unusable; construct with NewECDF.
+// paper). The zero value is unusable; construct with NewECDFSorted.
 type ECDF struct {
 	sorted []float64
-}
-
-// NewECDF builds an ECDF from xs. It copies and sorts the sample, so the
-// caller retains ownership of xs. It returns ErrEmpty for an empty sample.
-func NewECDF(xs []float64) (*ECDF, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return &ECDF{sorted: sorted}, nil
 }
 
 // ErrUnsorted is returned by sorted-path constructors handed a sample

@@ -84,18 +84,6 @@ func KSTest(xs []float64, cdf func(float64) float64) (d, p float64, err error) {
 	return d, KSPValue(d, float64(len(xs))), nil
 }
 
-// KSTestTwoSample runs the two-sample Kolmogorov-Smirnov test: the
-// statistic of KSTwoSample plus its asymptotic p-value at the effective
-// sample size na*nb/(na+nb).
-func KSTestTwoSample(xs, ys []float64) (d, p float64, err error) {
-	d, err = KSTwoSample(xs, ys)
-	if err != nil {
-		return d, math.NaN(), err
-	}
-	na, nb := float64(len(xs)), float64(len(ys))
-	return d, KSPValue(d, na*nb/(na+nb)), nil
-}
-
 // KSPValue returns the asymptotic p-value for a (one- or two-sample) KS
 // statistic d with effective sample size n, using the Kolmogorov limiting
 // distribution Q(lambda) = 2 * sum_{k>=1} (-1)^{k-1} exp(-2 k^2 lambda^2)

@@ -1,11 +1,10 @@
-// Streaming, mergeable sketches for the columnar data plane: a
-// constant-memory consumer (textreport.StreamDigest, or any BlockReader
-// loop) folds each block into per-block sketches and merges them, never
-// holding the sample itself. Three summaries cover the digest's needs:
-// Welford (exact mean/variance), TDigest (approximate quantiles with a
-// documented rank-error bound), and ECDFSketch (a capped weighted ECDF
-// for distribution overlays). All three follow the package NaN policy:
-// a NaN observation poisons every derived statistic to NaN.
+// Streaming sketches for the columnar data plane: a constant-memory
+// consumer (textreport.StreamDigest, or any BlockReader loop) folds each
+// record into running sketches, never holding the sample itself. Two
+// summaries cover the digest's needs: Welford (exact mean/variance) and
+// TDigest (approximate quantiles with a documented rank-error bound).
+// Both follow the package NaN policy: a NaN observation poisons every
+// derived statistic to NaN.
 package stats
 
 import (
@@ -80,7 +79,7 @@ func (w *Welford) Variance() float64 {
 // StdDev returns the unbiased sample standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
-// centroid is one weighted point of a TDigest or ECDFSketch.
+// centroid is one weighted point of a TDigest.
 type centroid struct {
 	mean   float64
 	weight float64
@@ -299,162 +298,4 @@ func (t *TDigest) Quantile(p float64) float64 {
 	}
 	frac := (target - mid) / (t.total - mid)
 	return last.mean + frac*(t.max-last.mean)
-}
-
-// ECDFSketch is a block-mergeable, capped-size approximation of an
-// empirical CDF: at most K weighted points, compacted by collapsing
-// rank-adjacent pairs (weighted mean, summed weight) whenever the point
-// set overflows. Each compaction halves resolution locally, so after
-// streaming n samples the rank error is about log2(n/K)/K — with the
-// default K = 512 and n = 10⁶, under 2% (pinned empirically by the
-// accuracy tests). For exact ECDFs over in-memory samples use NewECDF;
-// this sketch exists for the streaming path where the sample never
-// materializes. Use NewECDFSketch; the zero value is not ready.
-type ECDFSketch struct {
-	cap    int
-	points []centroid // sorted by mean
-	buf    []float64  // unsorted incoming samples
-	total  float64
-	count  int64
-	hasNaN bool
-}
-
-// DefaultECDFSketchSize is the point cap used when NewECDFSketch is
-// given 0.
-const DefaultECDFSketchSize = 512
-
-// NewECDFSketch returns an empty sketch keeping at most k weighted
-// points (0 means DefaultECDFSketchSize; minimum 8).
-func NewECDFSketch(k int) *ECDFSketch {
-	if k <= 0 {
-		k = DefaultECDFSketchSize
-	}
-	if k < 8 {
-		k = 8
-	}
-	return &ECDFSketch{cap: k, buf: make([]float64, 0, k)}
-}
-
-// Observe folds one sample into the sketch.
-func (e *ECDFSketch) Observe(x float64) {
-	e.count++
-	if math.IsNaN(x) {
-		e.hasNaN = true
-		return
-	}
-	e.buf = append(e.buf, x)
-	e.total++
-	if len(e.buf) == cap(e.buf) {
-		e.flush()
-	}
-}
-
-// Merge folds another sketch into e.
-func (e *ECDFSketch) Merge(o *ECDFSketch) {
-	if o == nil {
-		return
-	}
-	e.hasNaN = e.hasNaN || o.hasNaN
-	e.count += o.count
-	e.flush()
-	pts := append(append([]centroid(nil), o.points...), floatCentroids(o.buf)...)
-	sort.Slice(pts, func(i, j int) bool { return pts[i].mean < pts[j].mean })
-	e.points = mergeSortedCentroids(e.points, pts)
-	e.total += o.total
-	e.compact()
-}
-
-func floatCentroids(xs []float64) []centroid {
-	out := make([]centroid, len(xs))
-	for i, x := range xs {
-		out[i] = centroid{mean: x, weight: 1}
-	}
-	return out
-}
-
-// flush sorts the buffer and merges it into the point set.
-func (e *ECDFSketch) flush() {
-	if len(e.buf) == 0 {
-		return
-	}
-	sort.Float64s(e.buf)
-	e.points = mergeSortedCentroids(e.points, floatCentroids(e.buf))
-	e.buf = e.buf[:0]
-	e.compact()
-}
-
-// mergeSortedCentroids merges two mean-sorted centroid runs.
-func mergeSortedCentroids(a, b []centroid) []centroid {
-	out := make([]centroid, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].mean <= b[j].mean {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// compact halves the point set by collapsing rank-adjacent pairs until
-// it fits the cap.
-func (e *ECDFSketch) compact() {
-	for len(e.points) > e.cap {
-		half := e.points[:0]
-		for i := 0; i+1 < len(e.points); i += 2 {
-			a, b := e.points[i], e.points[i+1]
-			w := a.weight + b.weight
-			half = append(half, centroid{
-				mean:   a.mean + (b.mean-a.mean)*b.weight/w,
-				weight: w,
-			})
-		}
-		if len(e.points)%2 == 1 {
-			half = append(half, e.points[len(e.points)-1])
-		}
-		e.points = half
-	}
-}
-
-// Count returns the number of observations (including NaNs).
-func (e *ECDFSketch) Count() int64 { return e.count }
-
-// Eval returns the approximate fraction of the sample ≤ x (NaN when
-// empty or poisoned).
-func (e *ECDFSketch) Eval(x float64) float64 {
-	if e.total == 0 || e.hasNaN || math.IsNaN(x) {
-		return math.NaN()
-	}
-	e.flush()
-	var cum float64
-	for _, p := range e.points {
-		if p.mean > x {
-			break
-		}
-		cum += p.weight
-	}
-	return cum / e.total
-}
-
-// Quantile returns the approximate p-quantile: the value at which the
-// sketch's cumulative weight first reaches p·n. NaN when empty,
-// poisoned, or p outside [0, 1].
-func (e *ECDFSketch) Quantile(p float64) float64 {
-	if e.total == 0 || e.hasNaN || math.IsNaN(p) || p < 0 || p > 1 {
-		return math.NaN()
-	}
-	e.flush()
-	target := p * e.total
-	var cum float64
-	for _, pt := range e.points {
-		cum += pt.weight
-		if cum >= target {
-			return pt.mean
-		}
-	}
-	return e.points[len(e.points)-1].mean
 }

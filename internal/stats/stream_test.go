@@ -189,73 +189,3 @@ func TestTDigestEdgeCases(t *testing.T) {
 		t.Error("merging a poisoned digest must poison the target")
 	}
 }
-
-// ecdfSketchTolerance is the documented bound for the default cap
-// (K = 512): each overflow compaction halves local resolution, so rank
-// error grows like log2(n/K)/K — comfortably under 3% for n = 10⁵.
-const ecdfSketchTolerance = 0.03
-
-func TestECDFSketchAccuracy(t *testing.T) {
-	for name, xs := range streamSamples(100000) {
-		sk := NewECDFSketch(0)
-		for _, x := range xs {
-			sk.Observe(x)
-		}
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		for _, p := range quantileProbes {
-			est := sk.Quantile(p)
-			if gotRank := rankOf(sorted, est); math.Abs(gotRank-p) > ecdfSketchTolerance {
-				t.Errorf("%s p=%g: rank %g (err %g)", name, p, gotRank, math.Abs(gotRank-p))
-			}
-		}
-		// Eval and the exact ECDF must agree at sample quantile points.
-		for _, p := range []float64{0.1, 0.5, 0.9} {
-			x := quantileSorted(sorted, p)
-			if got := sk.Eval(x); math.Abs(got-p) > ecdfSketchTolerance {
-				t.Errorf("%s Eval(%g) = %g, want ~%g", name, x, got, p)
-			}
-		}
-	}
-}
-
-func TestECDFSketchMerge(t *testing.T) {
-	xs := streamSamples(100000)["exponential"]
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	merged := NewECDFSketch(0)
-	const block = 8192
-	for lo := 0; lo < len(xs); lo += block {
-		hi := lo + block
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		part := NewECDFSketch(0)
-		for _, x := range xs[lo:hi] {
-			part.Observe(x)
-		}
-		merged.Merge(part)
-	}
-	if merged.Count() != int64(len(xs)) {
-		t.Fatalf("merged count %d, want %d", merged.Count(), len(xs))
-	}
-	for _, p := range quantileProbes {
-		est := merged.Quantile(p)
-		if gotRank := rankOf(sorted, est); math.Abs(gotRank-p) > 2*ecdfSketchTolerance {
-			t.Errorf("merged p=%g: rank %g (err %g)", p, gotRank, math.Abs(gotRank-p))
-		}
-	}
-}
-
-func TestECDFSketchNaNPoison(t *testing.T) {
-	sk := NewECDFSketch(0)
-	sk.Observe(1)
-	sk.Observe(math.NaN())
-	if !math.IsNaN(sk.Quantile(0.5)) || !math.IsNaN(sk.Eval(1)) {
-		t.Error("NaN observation must poison the sketch")
-	}
-	empty := NewECDFSketch(0)
-	if !math.IsNaN(empty.Quantile(0.5)) {
-		t.Error("empty sketch must report NaN")
-	}
-}

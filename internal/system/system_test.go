@@ -161,3 +161,13 @@ func TestParseNodeIndex(t *testing.T) {
 		}
 	}
 }
+
+// TotalGPUs returns the fleet GPU count.
+func (m Machine) TotalGPUs() int { return m.Nodes * m.Node.NumGPUs }
+
+// TotalCPUs returns the fleet CPU count.
+func (m Machine) TotalCPUs() int { return m.Nodes * m.Node.NumCPUs }
+
+// ComputeComponents returns the paper's component count: total CPUs plus
+// total GPUs (7040 for Tsubame-2, 3240 for Tsubame-3).
+func (m Machine) ComputeComponents() int { return m.TotalCPUs() + m.TotalGPUs() }

@@ -74,10 +74,19 @@ func AnalyzeView(w io.Writer, study *core.Study, ix *index.View) {
 }
 
 // DefaultDigestFrom returns the digest period start used when the caller
-// does not name one: days before the log's last failure.
+// does not name one: DefaultDigestStart at the log's last failure.
 func DefaultDigestFrom(log *failures.Log, days int) time.Time {
 	_, logEnd, _ := log.Window()
-	return logEnd.AddDate(0, 0, -days)
+	return DefaultDigestStart(logEnd, days)
+}
+
+// DefaultDigestStart returns the start of the default digest period for
+// a log whose newest failure occurred at last: the period covers the
+// whole UTC days that end with last's day, so [start, start+days) always
+// contains the newest failure.
+func DefaultDigestStart(last time.Time, days int) time.Time {
+	y, m, d := last.UTC().Date()
+	return time.Date(y, m, d, 0, 0, 0, 0, time.UTC).AddDate(0, 0, 1-days)
 }
 
 // Digest writes the tsubame-digest operations report for the period

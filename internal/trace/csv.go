@@ -27,11 +27,6 @@ var csvHeader = []string{"id", "system", "time", "recovery_hours", "category", "
 // so every round trip drifted the stored duration.
 const recoveryUnit = 360 * time.Millisecond
 
-// canonicalRecovery snaps a duration to the recovery grid.
-func canonicalRecovery(d time.Duration) time.Duration {
-	return time.Duration(math.Round(float64(d)/float64(recoveryUnit))) * recoveryUnit
-}
-
 // WriteCSV writes the log to w in the canonical CSV schema, one row per
 // record plus a header row. Times are RFC 3339 in UTC; recovery is decimal
 // hours; GPU slots are semicolon-separated.

