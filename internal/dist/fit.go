@@ -10,33 +10,52 @@ import (
 	"repro/internal/stats"
 )
 
-// ErrInfiniteObservation is the error FitWeibull wraps for a sample
-// holding +Inf: x^k and the shifted exp(k·(ln x − max ln x)) are then
-// both NaN at every shape, so the shape equation has no sign to search.
+// ErrInfiniteObservation is the error every fit wraps for a sample
+// holding +Inf: the sample mean, the logs' moments and the Weibull shape
+// equation are then all infinite or NaN, so no family has a fit.
 var ErrInfiniteObservation = errors.New("dist: weibull shape is undefined for an infinite observation")
 
-// logSample is a positive sample with the log of every observation,
-// taken once and shared by every family's fit and log-likelihood.
+// logSample is a positive, finite sample with the log of every
+// observation, taken once and shared by every family's fit.
 type logSample struct {
 	xs, logs      []float64
 	mean, meanLog float64
 }
 
 // newLogSample checks that every observation is positive, naming the
-// fit in its error, and takes the logs and both means in one pass.
+// fit in its error, and finite, wrapping ErrInfiniteObservation; it
+// takes the logs and both means in one pass, and a second for the mean
+// only if the sum overflows. math.Log is not accurate for subnormal x on
+// every platform (on amd64 it gives −709.09 for ln 5e-324 = −744.44),
+// so their logs come from the Frexp split x = frac·2^exp as
+// ln frac + exp·ln 2.
 func newLogSample(xs []float64, fit string) (*logSample, error) {
 	s := &logSample{xs: xs, logs: make([]float64, len(xs))}
 	for i, x := range xs {
 		if !(x > 0) {
 			return nil, fmt.Errorf("dist: %s requires positive observations, got %v", fit, x)
 		}
-		s.logs[i] = math.Log(x)
+		if math.IsInf(x, 1) {
+			return nil, fmt.Errorf("%w (n=%d)", ErrInfiniteObservation, len(xs))
+		}
+		l := math.Log(x)
+		if x < 0x1p-1022 {
+			frac, exp := math.Frexp(x)
+			l = math.Log(frac) + float64(exp)*math.Ln2
+		}
+		s.logs[i] = l
 		s.mean += x
-		s.meanLog += s.logs[i]
+		s.meanLog += l
 	}
 	if n := float64(len(xs)); n > 0 {
 		s.mean /= n
 		s.meanLog /= n
+		if math.IsInf(s.mean, 1) { // the sum overflowed, but no x/n can
+			s.mean = 0
+			for _, x := range xs {
+				s.mean += x / n
+			}
+		}
 	}
 	return s, nil
 }
@@ -65,20 +84,18 @@ func (s *logSample) fitLogNormal() (LogNormal, error) {
 	return NewLogNormal(mu, sigma)
 }
 
-// FitWeibull returns the maximum-likelihood Weibull fit, solving the shape
-// equation g(k) = sum(x^k ln x)/sum(x^k) - 1/k - mean(ln x) = 0 by
-// bracketing and bisection, then setting the scale from the shape.
+// FitWeibull returns the maximum-likelihood Weibull fit. The shape k is
+// the root of the shape equation
 //
-// g is strictly increasing, so each bisection step needs only the sign of
-// g(mid). A Newton solve of the same equation answers that sign wherever
-// mid is certified to lie clear of the root (see weibullShapeCert.signs); the
-// few steps near the root evaluate g itself, so the bisection takes the
-// same path, and returns the same bits, as one that evaluates g every
-// step. Where x^k overflows or underflows and g is NaN, the sign comes
-// from an overflow-free evaluation instead, and so does the scale when
-// its sum of x^k does. Every x^k is math.Pow's value, computed by powExp
-// from the sample's logs and Frexp splits, which are taken once. A
-// sample holding +Inf fails with an error wrapping ErrInfiniteObservation.
+//	g(k) = Σx^k·ln x / Σx^k − 1/k − mean(ln x) = 0,
+//
+// which is strictly increasing in k, found by a safeguarded Newton solve
+// on logs shifted by their maximum, so that x^k can neither overflow nor
+// underflow on the way. The scale is λ = (mean x^k)^(1/k), in the same
+// shifted form. A sample of fewer than 2 observations, a non-positive
+// one, or one whose equation has no root up to 1024 (all observations
+// equal, or nearly so) fails to fit; a sample holding +Inf fails with an
+// error wrapping ErrInfiniteObservation.
 func FitWeibull(xs []float64) (Weibull, error) {
 	s, err := newLogSample(xs, "weibull fit")
 	if err != nil {
@@ -88,57 +105,12 @@ func FitWeibull(xs []float64) (Weibull, error) {
 }
 
 func (s *logSample) fitWeibull() (Weibull, error) {
-	xs, logs, meanLog := s.xs, s.logs, s.meanLog
-	if len(xs) < 2 {
-		return Weibull{}, fmt.Errorf("dist: weibull fit needs at least 2 observations, got %d", len(xs))
+	if len(s.xs) < 2 {
+		return Weibull{}, fmt.Errorf("dist: weibull fit needs at least 2 observations, got %d", len(s.xs))
 	}
-	for _, x := range xs {
-		if math.IsInf(x, 1) {
-			return Weibull{}, fmt.Errorf("%w (n=%d)", ErrInfiniteObservation, len(xs))
-		}
-	}
-	bases := newPowBases(xs, logs)
-	g := func(k float64) float64 {
-		e := newPowExp(k)
-		var sxk, sxkl float64
-		for i := range xs {
-			xk := e.pow(&bases, i)
-			sxk += xk
-			sxkl += xk * logs[i]
-		}
-		return sxkl/sxk - 1/k - meanLog
-	}
-	cert := certifyWeibullShape(logs, meanLog)
-	below := cert.signs(g)
-
-	// Bracket the root, then bisect. The path this search takes fixes the
-	// fitted bits, so below must answer exactly as g(k) < 0 would.
-	lo, hi := 1e-3, 1.0
-	for below(hi) && hi < 1e3 {
-		lo = hi
-		hi *= 2
-	}
-	if below(hi) {
-		return Weibull{}, fmt.Errorf("dist: weibull shape did not bracket within (0, %g]", hi)
-	}
-	for i := 0; i < 200 && hi-lo > 1e-10*(1+hi); i++ {
-		mid := (lo + hi) / 2
-		if below(mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	k := (lo + hi) / 2
-
-	e := newPowExp(k)
-	var sxk float64
-	for i := range xs {
-		sxk += e.pow(&bases, i)
-	}
-	lambda := math.Pow(sxk/float64(len(xs)), 1/k)
-	if math.IsInf(sxk, 1) || sxk == 0 {
-		lambda = cert.scale(k) // x^k overflowed or every term underflowed
+	k, lambda := weibullMLE(s.logs, s.meanLog)
+	if !(k <= weibullShapeMax) {
+		return Weibull{}, fmt.Errorf("dist: weibull shape did not bracket within (0, %g]", float64(weibullShapeMax))
 	}
 	return NewWeibull(k, lambda)
 }
@@ -159,66 +131,55 @@ type Fit struct {
 // any sample must increment it exactly once.
 var fitSortCount atomic.Int64
 
-// family pairs a fitted distribution with its parameter count and the
-// log-likelihood of observation i, the inputs of the scoring sweep.
-type family struct {
-	name   string
-	dist   Distribution
-	params int
-	ll     func(i int) float64
-}
-
 // FitAll fits the exponential, Weibull, and log-normal families to xs and
 // returns the fits sorted by ascending KS statistic (best first). Families
 // that fail to fit are omitted; an error is returned only when no family
-// fits.
+// fits, and it wraps the cause when the sample itself is at fault (a
+// non-positive observation, or +Inf: ErrInfiniteObservation).
+//
+// Each AIC is 2p − 2 ln L at the maximum-likelihood fit, where the
+// log-likelihood has a closed form in the statistics the fits already
+// take, with n observations:
+//
+//	exponential: ln L = −n(ln μ + 1), as Σx/μ = n;
+//	Weibull:     ln L = n(ln k − ln λ + (k−1)(mean ln x − ln λ) − 1),
+//	             as λ^k = mean x^k makes Σ(x/λ)^k = n;
+//	log-normal:  ln L = n(−½ ln 2π − ln σ − mean ln x) − (n−1)/2,
+//	             as σ² = SS/(n−1) makes Σ((ln x − μ)/σ)² = n − 1.
 //
 // Once a family has fitted, the sample is cloned and sorted exactly once,
 // and every family's KS statistic reads the shared sorted buffer. A
-// family fits only when every observation is positive, so the sort never
-// sees NaN or a zero, and stats.SortFloat64s orders it bit-identically to
-// sort.Float64s. The sample's logs are taken once and shared by the fits
-// and the log-likelihoods, which accumulate in xs order.
+// family fits only when every observation is positive and finite, so the
+// sort never sees NaN, and stats.SortFloat64s orders it bit-identically
+// to sort.Float64s.
 func FitAll(xs []float64) ([]Fit, error) {
-	var families []family
-	// A non-positive observation fails every family, as does the empty
-	// sample.
-	if s, err := newLogSample(xs, "fit"); err == nil {
-		if e, err := s.fitExponential(); err == nil {
-			logMean := math.Log(e.MeanVal)
-			families = append(families, family{"exponential", e, 1, func(i int) float64 {
-				return -logMean - xs[i]/e.MeanVal
-			}})
-		}
-		if w, err := s.fitWeibull(); err == nil {
-			logK, logL := math.Log(w.K), math.Log(w.Lambda)
-			families = append(families, family{"weibull", w, 2, func(i int) float64 {
-				z := xs[i] / w.Lambda
-				return logK - logL + (w.K-1)*(s.logs[i]-logL) - math.Pow(z, w.K)
-			}})
-		}
-		if l, err := s.fitLogNormal(); err == nil {
-			c := -0.5*math.Log(2*math.Pi) - math.Log(l.Sigma)
-			families = append(families, family{"lognormal", l, 2, func(i int) float64 {
-				z := (s.logs[i] - l.Mu) / l.Sigma
-				return c - s.logs[i] - z*z/2
-			}})
-		}
+	s, err := newLogSample(xs, "fit")
+	if err != nil {
+		return nil, fmt.Errorf("dist: no distribution family fits the sample (n=%d): %w", len(xs), err)
 	}
-	if len(families) == 0 {
+	n := float64(len(xs))
+	var fits []Fit
+	if e, err := s.fitExponential(); err == nil {
+		ll := -n * (math.Log(e.MeanVal) + 1)
+		fits = append(fits, Fit{Name: "exponential", Dist: e, AIC: 2 - 2*ll})
+	}
+	if w, err := s.fitWeibull(); err == nil {
+		logL := math.Log(w.Lambda)
+		ll := n * (math.Log(w.K) - logL + (w.K-1)*(s.meanLog-logL) - 1)
+		fits = append(fits, Fit{Name: "weibull", Dist: w, AIC: 4 - 2*ll})
+	}
+	if l, err := s.fitLogNormal(); err == nil {
+		ll := n*(-0.5*math.Log(2*math.Pi)-math.Log(l.Sigma)-s.meanLog) - (n-1)/2
+		fits = append(fits, Fit{Name: "lognormal", Dist: l, AIC: 4 - 2*ll})
+	}
+	if len(fits) == 0 {
 		return nil, fmt.Errorf("dist: no distribution family fits the sample (n=%d)", len(xs))
 	}
 	sorted := append([]float64(nil), xs...)
 	stats.SortFloat64s(sorted)
 	fitSortCount.Add(1)
-	fits := make([]Fit, len(families))
-	for i, fam := range families {
-		var ll float64
-		for j := range xs {
-			ll += fam.ll(j)
-		}
-		ks := ksStatisticSorted(sorted, fam.dist.CDF)
-		fits[i] = Fit{Name: fam.name, Dist: fam.dist, KS: ks, AIC: 2*float64(fam.params) - 2*ll}
+	for i := range fits {
+		fits[i].KS = ksStatisticSorted(sorted, fits[i].Dist.CDF)
 	}
 	sort.Slice(fits, func(i, j int) bool { return fits[i].KS < fits[j].KS })
 	return fits, nil

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -254,10 +255,10 @@ func TestLogLikelihoodFiniteness(t *testing.T) {
 	}
 }
 
-// exponentialLogLik is the exponential log-likelihood of positive xs.
-// FitAll's scoring sweep computes these three log-likelihoods term for
-// term from the sample's shared logs; these standalone forms are the
-// reference it is checked against.
+// exponentialLogLik is the exponential log-likelihood of positive xs,
+// summed term by term. FitAll takes each family's log-likelihood in
+// closed form at the fit; these per-sample sums are the reference it is
+// checked against.
 func exponentialLogLik(e Exponential, xs []float64) float64 {
 	logMean := math.Log(e.MeanVal)
 	var ll float64
@@ -267,13 +268,14 @@ func exponentialLogLik(e Exponential, xs []float64) float64 {
 	return ll
 }
 
-// weibullLogLik is the Weibull log-likelihood of positive xs.
+// weibullLogLik is the Weibull log-likelihood of positive xs. It takes
+// each (x/λ)^k as exp(k·(ln x − ln λ)), which does not underflow where
+// x/λ does.
 func weibullLogLik(w Weibull, xs []float64) float64 {
 	logK, logL := math.Log(w.K), math.Log(w.Lambda)
 	var ll float64
 	for _, x := range xs {
-		z := x / w.Lambda
-		ll += logK - logL + (w.K-1)*(math.Log(x)-logL) - math.Pow(z, w.K)
+		ll += logK - logL + (w.K-1)*(math.Log(x)-logL) - math.Exp(w.K*(math.Log(x)-logL))
 	}
 	return ll
 }
@@ -289,28 +291,96 @@ func logNormalLogLik(l LogNormal, xs []float64) float64 {
 	return ll
 }
 
-// TestFitAllAICMatchesReferenceLogLik pins FitAll's scoring sweep, which
-// reads each observation's log from the sample's one log pass, to the
-// standalone log-likelihoods bit for bit.
+// TestFitAllAICMatchesReferenceLogLik pins FitAll's closed-form AICs to
+// the per-sample log-likelihood sums within 1e-12 relative. The last
+// sample spans 600 decades: there (x/λ)^k underflows for x = 1e-300
+// when taken as math.Pow(x/λ, k), which once summed the Weibull terms to
+// 2.859 where the maximum-likelihood scale makes them sum to 3.
 func TestFitAllAICMatchesReferenceLogLik(t *testing.T) {
 	truth, _ := NewWeibull(0.8, 40)
-	xs := sampleN(truth, 3000, 11)
-	fits, err := FitAll(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range fits {
-		var want float64
-		switch d := f.Dist.(type) {
-		case Exponential:
-			want = 2 - 2*exponentialLogLik(d, xs)
-		case Weibull:
-			want = 4 - 2*weibullLogLik(d, xs)
-		case LogNormal:
-			want = 4 - 2*logNormalLogLik(d, xs)
+	for _, xs := range [][]float64{
+		sampleN(truth, 3000, 11),
+		{3, 7, 20, 1.5, 44},
+		{1e-300, 1e300, 1},
+	} {
+		fits, err := FitAll(xs)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if math.Float64bits(want) != math.Float64bits(f.AIC) {
-			t.Errorf("%s: AIC %v, reference %v", f.Name, f.AIC, want)
+		if len(fits) != 3 {
+			t.Fatalf("n=%d: %d families fit, want 3", len(xs), len(fits))
+		}
+		for _, f := range fits {
+			var want float64
+			switch d := f.Dist.(type) {
+			case Exponential:
+				want = 2 - 2*exponentialLogLik(d, xs)
+			case Weibull:
+				want = 4 - 2*weibullLogLik(d, xs)
+			case LogNormal:
+				want = 4 - 2*logNormalLogLik(d, xs)
+			}
+			if !(math.Abs(f.AIC-want) <= 1e-12*math.Abs(want)) {
+				t.Errorf("n=%d %s: AIC %v, reference %v", len(xs), f.Name, f.AIC, want)
+			}
+		}
+	}
+}
+
+// TestFitInfiniteObservation checks that a sample holding +Inf fails at
+// every entry point with an error wrapping ErrInfiniteObservation, where
+// FitAll once returned an exponential fit with mean +Inf and a NaN KS
+// and AIC.
+func TestFitInfiniteObservation(t *testing.T) {
+	xs := []float64{1, 2, math.Inf(1)}
+	_, errAll := FitAll(xs)
+	_, errBest := FitBest(xs)
+	_, errWeibull := FitWeibull(xs)
+	_, errExp := FitExponential(xs)
+	_, errLogNormal := FitLogNormal(xs)
+	for name, err := range map[string]error{
+		"FitAll":         errAll,
+		"FitBest":        errBest,
+		"FitAllMany":     FitAllMany([][]float64{xs}, 1)[0].Err,
+		"FitWeibull":     errWeibull,
+		"FitExponential": errExp,
+		"FitLogNormal":   errLogNormal,
+	} {
+		if !errors.Is(err, ErrInfiniteObservation) {
+			t.Errorf("%s: error %v, want one wrapping ErrInfiniteObservation", name, err)
+		}
+	}
+}
+
+// TestFitSubnormalLogs checks the fits on samples holding subnormal
+// observations against logs taken from the Frexp split, which math.Log
+// does not match there on every platform (on amd64 it returns −709.09
+// for ln 5e-324 = −744.44): the Weibull scale is (mean x^k)^(1/k) at the
+// fitted shape, and the log-normal μ is the mean log.
+func TestFitSubnormalLogs(t *testing.T) {
+	frexpLog := func(x float64) float64 {
+		frac, exp := math.Frexp(x)
+		return math.Log(frac) + float64(exp)*math.Ln2
+	}
+	for _, xs := range [][]float64{{5e-324, 1, 2}, {1e-310, 1, 2}, {1e-310, 3e-320, 2e-308}} {
+		w, err := FitWeibull(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := FitLogNormal(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sumPow, meanLog float64
+		for _, x := range xs {
+			sumPow += math.Exp(w.K * frexpLog(x))
+			meanLog += frexpLog(x) / float64(len(xs))
+		}
+		if want := math.Exp(math.Log(sumPow/float64(len(xs))) / w.K); !(math.Abs(w.Lambda-want) <= 1e-9*want) {
+			t.Errorf("%v: Weibull scale %v at k=%v, want %v", xs, w.Lambda, w.K, want)
+		}
+		if !(math.Abs(l.Mu-meanLog) <= 1e-12*math.Abs(meanLog)) {
+			t.Errorf("%v: log-normal mu %v, want %v", xs, l.Mu, meanLog)
 		}
 	}
 }

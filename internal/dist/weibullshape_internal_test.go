@@ -1,107 +1,118 @@
 package dist
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// TestWeibullShapeSignsNearRoot probes the sign oracle where it is
-// weakest: at shapes within a few dozen ulps of the point where the
-// Pow-based shape function changes sign, where its rounding error can
-// exceed its value and flip the sign back and forth. The predicate must
-// agree with that function's own sign at every probe, and at a coarse
-// grid across the whole bracket.
-func TestWeibullShapeSignsNearRoot(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 24; trial++ {
-		n := []int{2, 7, 50, 400, 3000, 20000}[trial%6]
-		shape := 0.3 + 4*rng.Float64()
-		xs := make([]float64, n)
-		logs := make([]float64, n)
-		var meanLog float64
-		for i := range xs {
-			xs[i] = 30 * math.Pow(rng.ExpFloat64(), 1/shape)
-			if trial%4 == 3 {
-				xs[i] = math.Max(0.5, math.Round(xs[i]))
-			}
-			logs[i] = math.Log(xs[i])
-			meanLog += logs[i]
-		}
-		meanLog /= float64(n)
-		g := func(k float64) float64 {
-			var sxk, sxkl float64
-			for i, x := range xs {
-				xk := math.Pow(x, k)
-				sxk += xk
-				sxkl += xk * logs[i]
-			}
-			return sxkl/sxk - 1/k - meanLog
-		}
-		below := certifyWeibullShape(logs, meanLog).signs(g)
+// The Weibull fit's one power kernel is weibullShapeEq.scale: the power
+// mean (mean x^k)^(1/k), taken in shifted-log form so that it stays
+// finite where x^k overflows or underflows. Every fitted scale comes
+// from it. These tests check it against math.Pow's direct form on the
+// pair {x, 1}, with the logs taken as newLogSample takes them.
 
-		lo, hi := weibullShapeMin, float64(weibullShapeMax)
-		for hi-lo > 0 && lo < (lo+hi)/2 && (lo+hi)/2 < hi {
-			if mid := (lo + hi) / 2; g(mid) < 0 {
-				lo = mid
-			} else {
-				hi = mid
-			}
+// checkPowKernel checks the kernel at x > 0 and shape k in (0, 1024]:
+// where x^k is finite, it must match (mean x^k)^(1/k) through math.Pow
+// within 1e-11 relative; where x^k overflows, it must lie in the bounds
+// every power mean of {x, 1} obeys, max·2^(−1/k) ≤ mean ≤ max. An
+// infinite x must be rejected with ErrInfiniteObservation.
+func checkPowKernel(x, k float64) error {
+	s, err := newLogSample([]float64{x, 1}, "fit")
+	if math.IsInf(x, 1) {
+		if !errors.Is(err, ErrInfiniteObservation) {
+			return fmt.Errorf("x=+Inf: error %v, want ErrInfiniteObservation", err)
 		}
-		var probes []float64
-		for j := -64; j <= 64; j++ {
-			probes = append(probes, hi*(1+float64(j)*0x1p-50))
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("x=%v: %v", x, err)
+	}
+	eq := weibullShapeEq{logs: s.logs, maxLog: math.Max(s.logs[0], s.logs[1])}
+	got := eq.scale(k)
+	// math.Pow takes math.Log of x, which is inexact for subnormal x on
+	// some platforms (amd64), so the reference splits those with Frexp.
+	p := math.Pow(x, k)
+	if x < 0x1p-1022 {
+		frac, exp := math.Frexp(x)
+		p = math.Pow(frac, k) * math.Pow(2, float64(exp)*k)
+	}
+	if !math.IsInf(p, 1) {
+		if want := math.Pow((p+1)/2, 1/k); !(math.Abs(got-want) <= 1e-11*want) {
+			return fmt.Errorf("power mean of {%v, 1} at k=%v: %v, math.Pow gives %v", x, k, got, want)
 		}
-		for k := weibullShapeMin; k < weibullShapeMax; k *= 1.37 {
-			probes = append(probes, k)
+		return nil
+	}
+	if hi := math.Max(x, 1); !(got <= hi && got >= hi*math.Pow(2, -1/k)*(1-1e-12)) {
+		return fmt.Errorf("power mean of {%v, 1} at k=%v: %v, outside [%v, %v]", x, k, got, hi*math.Pow(2, -1/k), hi)
+	}
+	return nil
+}
+
+// powPairs are the (x, k) pairs the kernel tests share: x = 1, x near 1,
+// x whose powers overflow or underflow into subnormals, subnormal x
+// (whose logs math.Log gets wrong on some platforms), +Inf, and shapes
+// from 0.001 to 1024.
+func powPairs() [][2]float64 {
+	xs := []float64{1, math.Nextafter(1, 2), math.Nextafter(1, 0), 2, 0.5, 3, 10, 24, 24.0001,
+		1e-300, 5e-324, 2.2e-308, 1e300, math.MaxFloat64, math.Inf(1), 0.999, 1.001}
+	ks := []float64{0.5, 1, 2, 1024, 0.001, 0.25, 0.75, 1.5, 2.5, 222.2, 646.1,
+		math.Nextafter(0.5, 0), math.Nextafter(0.5, 1), math.Nextafter(1.5, 0), math.Nextafter(1.5, 2)}
+	var pairs [][2]float64
+	for _, x := range xs {
+		for _, k := range ks {
+			pairs = append(pairs, [2]float64{x, k})
 		}
-		for _, k := range probes {
-			if got, want := below(k), g(k) < 0; got != want {
-				t.Fatalf("trial %d (n=%d): below(%v) = %v, g = %v", trial, n, k, got, g(k))
-			}
+	}
+	return pairs
+}
+
+// TestPowKernelMatchesPow checks the kernel on the named pairs, then on
+// random positive x of every binade (subnormals included) and near 1, at
+// random shapes in (0, 1024].
+func TestPowKernelMatchesPow(t *testing.T) {
+	pairs := powPairs()
+	rng := rand.New(rand.NewSource(27))
+	for i := 0; i < 200000; i++ {
+		var x float64
+		switch i % 3 {
+		case 0: // any positive finite double
+			x = math.Float64frombits(rng.Uint64() >> 1)
+		case 1: // a failure-log scale value
+			x = math.Exp(20*rng.Float64() - 10)
+		default: // near 1, where x^k neither overflows nor underflows
+			x = 1 + (rng.Float64()-0.5)*1e-3
+		}
+		pairs = append(pairs, [2]float64{x, 1024 * (1 - rng.Float64())})
+	}
+	for _, p := range pairs {
+		if !(p[0] > 0) {
+			continue
+		}
+		if err := checkPowKernel(p[0], p[1]); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
-// TestWeibullShapeBandIsCertificateSized checks the band the sign oracle
-// accepts on samples shaped like failure logs: it passes its certificate
-// (the shifted shape function beyond ±3·tol at its ends), and it is the
-// first band tried, of half-width 4·tol/slope(r) floored at
-// 1e-13·(1+r). A band started narrower than its certificate allows
-// needs a widening, which leaves more bisection steps evaluating g.
-func TestWeibullShapeBandIsCertificateSized(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 48; trial++ {
-		n := []int{50, 400, 3000, 20000}[trial%4]
-		shape := 0.4 + 2.5*rng.Float64()
-		scale := math.Pow(10, 3*rng.Float64()-1)
-		logs := make([]float64, n)
-		var meanLog float64
-		for i := range logs {
-			x := scale * math.Pow(rng.ExpFloat64(), 1/shape)
-			switch trial % 3 {
-			case 1:
-				x = scale * math.Exp(rng.NormFloat64()/shape)
-			case 2:
-				x = math.Max(0.01, math.Round(100*x)/100)
-			}
-			logs[i] = math.Log(x)
-			meanLog += logs[i]
-		}
-		meanLog /= float64(n)
-		c := certifyWeibullShape(logs, meanLog)
-		if c.tries != 0 {
-			t.Fatalf("trial %d (n=%d): band accepted after %d widenings", trial, n, c.tries)
-		}
-		want := math.Min(1e-8*(1+c.r), math.Max(4*c.tol/c.slope, 1e-13*(1+c.r)))
-		if half := (c.b - c.a) / 2; !(math.Abs(half-want) <= 1e-6*want+1e-15*c.r) {
-			t.Fatalf("trial %d (n=%d): band [%v, %v] around %v, want half-width %v", trial, n, c.a, c.b, c.r, want)
-		}
-		if ga, _ := c.shifted(c.a); !(ga < -3*c.tol) {
-			t.Fatalf("trial %d (n=%d): g(%v) = %v, not below -3·tol = %v", trial, n, c.a, ga, -3*c.tol)
-		}
-		if gb, _ := c.shifted(c.b); !(gb > 3*c.tol) {
-			t.Fatalf("trial %d (n=%d): g(%v) = %v, not above 3·tol = %v", trial, n, c.b, gb, 3*c.tol)
-		}
+// FuzzPowKernel checks the kernel at any positive x (given by its bits)
+// and any shape folded into (0, 1024].
+func FuzzPowKernel(f *testing.F) {
+	for _, p := range powPairs() {
+		f.Add(math.Float64bits(p[0]), p[1])
 	}
+	f.Fuzz(func(t *testing.T, xbits uint64, k float64) {
+		x := math.Float64frombits(xbits)
+		if k = math.Abs(k); k > 1024 {
+			k = math.Mod(k, 1024)
+		}
+		if !(x > 0) || !(k > 0) {
+			t.Skip()
+		}
+		if err := checkPowKernel(x, k); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

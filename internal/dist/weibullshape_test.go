@@ -5,110 +5,57 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/testutil"
 )
 
-// legacyFitWeibull is FitWeibull as it was before the Newton sign oracle:
-// every bracket and bisection step evaluates the Pow-based shape
-// function. sawNaN reports whether that function was NaN at any step,
-// where this search reads NaN as "above the root". On every other sample
-// FitWeibull must return the same bits and fail on the same inputs.
-func legacyFitWeibull(xs []float64) (w dist.Weibull, sawNaN bool, err error) {
-	if len(xs) < 2 {
-		return dist.Weibull{}, false, fmt.Errorf("dist: weibull fit needs at least 2 observations, got %d", len(xs))
-	}
-	logs := make([]float64, len(xs))
-	var meanLog float64
-	for i, x := range xs {
-		if !(x > 0) {
-			return dist.Weibull{}, false, fmt.Errorf("dist: weibull fit requires positive observations, got %v", x)
-		}
-		logs[i] = math.Log(x)
-		meanLog += logs[i]
-	}
-	meanLog /= float64(len(xs))
-
-	g := func(k float64) float64 {
-		var sxk, sxkl float64
-		for i, x := range xs {
-			xk := math.Pow(x, k)
-			sxk += xk
-			sxkl += xk * logs[i]
-		}
-		gk := sxkl/sxk - 1/k - meanLog
-		sawNaN = sawNaN || math.IsNaN(gk)
-		return gk
-	}
-
-	lo, hi := 1e-3, 1.0
-	for g(hi) < 0 && hi < 1e3 {
-		lo = hi
-		hi *= 2
-	}
-	if g(hi) < 0 {
-		return dist.Weibull{}, sawNaN, fmt.Errorf("dist: weibull shape did not bracket within (0, %g]", hi)
-	}
-	for i := 0; i < 200 && hi-lo > 1e-10*(1+hi); i++ {
-		mid := (lo + hi) / 2
-		if g(mid) < 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	k := (lo + hi) / 2
-
-	var sxk float64
-	for _, x := range xs {
-		sxk += math.Pow(x, k)
-	}
-	lambda := math.Pow(sxk/float64(len(xs)), 1/k)
-	w, err = dist.NewWeibull(k, lambda)
-	return w, sawNaN, err
+// frexpLog is ln x from the Frexp split x = frac·2^exp, accurate for
+// subnormal x too.
+func frexpLog(x float64) float64 {
+	frac, exp := math.Frexp(x)
+	return math.Log(frac) + float64(exp)*math.Ln2
 }
 
-// sameWeibullFit reports how FitWeibull's fit of a sample departs from
-// the legacy search's: in whether they failed, or in any bit of either
-// parameter. Where the legacy search saw a NaN shape function it checks
-// FitWeibull against the shape equation instead (fitsShapeEquation).
-func sameWeibullFit(xs []float64) error {
-	want, sawNaN, wantErr := legacyFitWeibull(xs)
-	got, gotErr := dist.FitWeibull(xs)
-	if sawNaN {
-		return fitsShapeEquation(xs, got, gotErr)
-	}
-	if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
-		return fmt.Errorf("n=%d: error %v, want %v", len(xs), gotErr, wantErr)
-	}
-	if math.Float64bits(got.K) != math.Float64bits(want.K) ||
-		math.Float64bits(got.Lambda) != math.Float64bits(want.Lambda) {
-		return fmt.Errorf("n=%d: got %+v, want %+v (sample %v)", len(xs), got, want, xs)
-	}
-	return nil
-}
-
-// fitsShapeEquation checks FitWeibull's contract on a sample whose
-// Pow-based shape function overflows or underflows to NaN on the search
-// path: an infinite observation fails with ErrInfiniteObservation; a
-// sample whose shape equation has no root up to 1024 fails to bracket;
-// any other fit has a shape at a sign change of the equation, evaluated
-// here on logs shifted by their maximum so that nothing overflows, and
-// the maximum-likelihood scale for that shape.
+// fitsShapeEquation checks FitWeibull's contract on a sample, given the
+// fit or error FitWeibull returned for it. A sample with a non-positive
+// or infinite observation, or fewer than 2, fails with the matching
+// error (ErrInfiniteObservation for +Inf); a sample whose shape
+// equation has no root up to 1024 fails to bracket; any other fit has a
+// shape at a sign change of the equation and the maximum-likelihood
+// scale for that shape. The equation is evaluated here on logs shifted
+// by their maximum, so that nothing overflows, and every error string
+// must be the exact one.
 func fitsShapeEquation(xs []float64, got dist.Weibull, err error) error {
-	maxLog, meanLog := math.Inf(-1), 0.0
+	wantErr := ""
 	for _, x := range xs {
+		if !(x > 0) {
+			wantErr = fmt.Sprintf("dist: weibull fit requires positive observations, got %v", x)
+			break
+		}
 		if math.IsInf(x, 1) {
 			if !errors.Is(err, dist.ErrInfiniteObservation) {
 				return fmt.Errorf("n=%d with +Inf: error %v, want ErrInfiniteObservation", len(xs), err)
 			}
-			return nil
+			wantErr = fmt.Sprintf("%v (n=%d)", dist.ErrInfiniteObservation, len(xs))
+			break
 		}
-		maxLog = math.Max(maxLog, math.Log(x))
-		meanLog += math.Log(x)
+	}
+	if wantErr == "" && len(xs) < 2 {
+		wantErr = fmt.Sprintf("dist: weibull fit needs at least 2 observations, got %d", len(xs))
+	}
+	if wantErr != "" {
+		if err == nil || err.Error() != wantErr {
+			return fmt.Errorf("n=%d: error %v, want %q", len(xs), err, wantErr)
+		}
+		return nil
+	}
+
+	maxLog, meanLog := math.Inf(-1), 0.0
+	for _, x := range xs {
+		maxLog = math.Max(maxLog, frexpLog(x))
+		meanLog += frexpLog(x)
 	}
 	meanLog /= float64(len(xs))
 	// meanShifted returns the mean of exp(k·d) and the exp(k·d)-weighted
@@ -116,7 +63,7 @@ func fitsShapeEquation(xs []float64, got dist.Weibull, err error) error {
 	meanShifted := func(k float64) (s0, m1 float64) {
 		var s1 float64
 		for _, x := range xs {
-			d := math.Log(x) - maxLog
+			d := frexpLog(x) - maxLog
 			s0 += math.Exp(k * d)
 			s1 += math.Exp(k*d) * d
 		}
@@ -127,7 +74,7 @@ func fitsShapeEquation(xs []float64, got dist.Weibull, err error) error {
 		return m1 - 1/k - (meanLog - maxLog)
 	}
 	if err != nil {
-		if strings.Contains(err.Error(), "did not bracket") && shape(1024) < 0 {
+		if err.Error() == "dist: weibull shape did not bracket within (0, 1024]" && !(shape(1024) >= 0) {
 			return nil
 		}
 		return fmt.Errorf("n=%d: error %v, but the shape equation has a root below 1024 (sample %v)", len(xs), err, xs)
@@ -135,11 +82,20 @@ func fitsShapeEquation(xs []float64, got dist.Weibull, err error) error {
 	if k := got.K; !(shape(k*(1-1e-6)) < 0 && shape(k*(1+1e-6)) > 0) {
 		return fmt.Errorf("n=%d: shape %v is not a root of the shape equation (sample %v)", len(xs), k, xs)
 	}
+	// The scale is e^y for y = max ln x + ln(mean exp(k·d))/k, taken as
+	// (e^(y/2))², which cannot overflow for a finite sample.
 	s0, _ := meanShifted(got.K)
-	if want := math.Exp(maxLog + math.Log(s0)/got.K); !(math.Abs(got.Lambda-want) <= 1e-9*want) {
+	h := math.Exp((maxLog + math.Log(s0)/got.K) / 2)
+	if want := h * h; !(math.Abs(got.Lambda-want) <= 1e-9*want) {
 		return fmt.Errorf("n=%d: scale %v, want %v (sample %v)", len(xs), got.Lambda, want, xs)
 	}
 	return nil
+}
+
+// checkWeibullFit fits xs and checks the fit against its contract.
+func checkWeibullFit(xs []float64) error {
+	w, err := dist.FitWeibull(xs)
+	return fitsShapeEquation(xs, w, err)
 }
 
 // genWeibullSample draws a sample that stresses the shape search: n from
@@ -183,20 +139,21 @@ func genWeibullSample(g *testutil.Gen) []float64 {
 	return xs
 }
 
-// TestPropertyFitWeibullMatchesLegacy pins the sign-oracle search to the
-// evaluate-every-step search it replaced, bit for bit, failures included,
-// on every sample where that search never met a NaN shape function; on
-// the others (nearly equal, narrowly spread and infinite samples at the
-// outer scales) FitWeibull must solve the shape equation instead.
+// TestPropertyFitWeibullMatchesLegacy checks FitWeibull against its
+// contract, the shape equation (fitsShapeEquation), on samples that
+// stress it: ties, all-equal and nearly-equal samples (no root up to
+// 1024), narrow samples at the outer scales, where x^k overflows or
+// underflows, and samples holding +Inf. The name is the one it had when
+// it compared the fit with a legacy bisection's bits.
 func TestPropertyFitWeibullMatchesLegacy(t *testing.T) {
 	testutil.Check(t, 600, func(g *testutil.Gen) error {
-		return sameWeibullFit(genWeibullSample(g))
+		return checkWeibullFit(genWeibullSample(g))
 	})
 }
 
-// TestFitWeibullMatchesLegacyLarge repeats the differential check on
-// larger Weibull and log-normal samples, whose longer sums carry more
-// rounding into the shape function near its root.
+// TestFitWeibullMatchesLegacyLarge repeats the contract check on larger
+// Weibull and log-normal samples, whose longer sums carry more rounding
+// into the shape function near its root.
 func TestFitWeibullMatchesLegacyLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 40; trial++ {
@@ -214,29 +171,37 @@ func TestFitWeibullMatchesLegacyLarge(t *testing.T) {
 				xs[i] = math.Max(0.01, math.Round(100*xs[i])/100)
 			}
 		}
-		if err := sameWeibullFit(xs); err != nil {
+		if err := checkWeibullFit(xs); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
 }
 
 // TestFitWeibullEdgeCases names the inputs the property's generator
-// reaches only by chance.
+// reaches only by chance, each error path with its exact string among
+// them.
 func TestFitWeibullEdgeCases(t *testing.T) {
 	for name, xs := range map[string][]float64{
+		"empty":          {},
+		"one":            {5},
 		"two":            {1, 2},
 		"two equal":      {3, 3},
+		"negative":       {1, -1},
+		"zero":           {0, 1},
+		"NaN":            {1, math.NaN()},
 		"huge scale":     {1e6, 3e6, 2e6, 5e5},
 		"tiny scale":     {1e-6, 3e-6, 2e-6, 5e-7},
 		"root above 1e3": {1, 1 + 1e-6, 1 + 2e-6},
 		"infinite":       {1, 2, math.Inf(1)},
+		"infinite alone": {math.Inf(1)},
 		"subnormal":      {5e-324, 1, 2},
+		"subnormals":     {1e-310, 5e-324, 3e-320},
 		"near max":       {1e300, 1e308, 1e307},
 		"overflowing":    {1e6, 1.01e6, 0.995e6, 1.003e6},
 		"underflowing":   {1e-6, 1.01e-6, 0.995e-6, 1.003e-6},
 		"overflow edge":  {24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24.0001},
 	} {
-		if err := sameWeibullFit(xs); err != nil {
+		if err := checkWeibullFit(xs); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
